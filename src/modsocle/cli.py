@@ -110,6 +110,16 @@ def group_from_spec(spec: str) -> FiniteGroup:
     raise ParseError(f"unrecognized group spec {spec!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -320,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--catalog", default=os.environ.get("MODSOCLE_CATALOG"),
                     help="directory of group files (env MODSOCLE_CATALOG); "
                          "defaults to the builtin catalog")
-    ce.add_argument("--parallel", type=int,
-                    default=int(os.environ.get("MODSOCLE_PARALLEL", "1")))
+    ce.add_argument("--parallel", type=_positive_int,
+                    default=os.environ.get("MODSOCLE_PARALLEL", "1"),
+                    help="worker processes, at most one per CPU (env MODSOCLE_PARALLEL)")
     ce.set_defaults(func=cmd_census)
     return parser
 

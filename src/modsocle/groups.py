@@ -318,15 +318,41 @@ def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
     return orders
 
 
-def _closure_set(table: np.ndarray, seed: Iterable[int], identity: int) -> frozenset[int]:
-    members = set(int(s) for s in seed)
-    members.add(identity)
-    arr = np.fromiter(sorted(members), dtype=np.int64)
-    while True:
-        prods = np.unique(table[np.ix_(arr, arr)])
-        if prods.size == arr.size:
-            return frozenset(int(v) for v in arr)
-        arr = prods
+def _closure(table: np.ndarray, base: frozenset[int], gens: Iterable[int]) -> frozenset[int]:
+    """Least subgroup containing the subgroup `base` and the elements `gens`.
+
+    Dimino-style incremental closure, one new generator g at a time: while
+    H is extended by g, the result stays a union of left cosets xH, so it is
+    closed under right multiplication by H and only needs closing under g.
+    H is first multiplied by g, g^2, ..., g^(m-1), where g^m is the first
+    power in H; these fewer than |H<g>| products reach the cyclic part at once.
+    After that each new element is multiplied once by g, and a product
+    outside the result brings in its whole coset, so the cost is
+    O(|result| x |new generators|). A set closed under right multiplication
+    by generators is the subgroup they generate only for an associative
+    table; `make_group` checks that.
+    """
+    inside = np.zeros(table.shape[0], dtype=bool)
+    sub = np.fromiter(base, dtype=np.int64, count=len(base))
+    inside[sub] = True
+    for g in gens:
+        if inside[g]:
+            continue
+        powers = [g]
+        while not inside[table[powers[-1], g]]:
+            powers.append(table[powers[-1], g])
+        prods = table[sub[:, None], powers].ravel()
+        while prods.size:
+            fresh = np.unique(prods[~inside[prods]])
+            cosets = table[fresh[:, None], sub]
+            if fresh.size > 1 and sub.size > 1:
+                # Keep one row per left coset; rows of one coset share a minimum.
+                cosets = cosets[np.unique(cosets.min(axis=1), return_index=True)[1]]
+            frontier = cosets.ravel()
+            inside[frontier] = True
+            prods = table[frontier, g]
+        sub = np.flatnonzero(inside)
+    return base if sub.size == len(base) else frozenset(sub.tolist())
 
 
 def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
@@ -336,7 +362,7 @@ def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
     while len(current) < n:
         g = min(x for x in range(n) if x not in current)
         gens.append(g)
-        current = _closure_set(table, current | {g}, identity)
+        current = _closure(table, current, (g,))
     return tuple(gens)
 
 
@@ -373,25 +399,41 @@ def make_group(table, name: str = "G", *, full_associativity: bool | None = None
 
 
 def generate_subgroup(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Least subgroup containing `seed`, by closure under products."""
+    """Least subgroup containing `seed`, by incremental closure."""
     seed = tuple(int(s) for s in seed)
-    members = _closure_set(group.table, seed, group.identity)
+    members = _closure(group.table, frozenset({group.identity}), seed)
     return group.subgroup(members, generated_by=seed)
 
 
 def normal_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Least normal subgroup containing `seed`."""
-    t = group.table
-    inv = group.inverse
-    all_g = np.arange(group.order)
-    members = _closure_set(t, seed, group.identity)
-    while True:
-        arr = np.fromiter(sorted(members), dtype=np.int64)
-        conj = t[t[np.ix_(all_g, arr)], inv[all_g][:, None]]
-        new = frozenset(int(v) for v in np.unique(conj))
-        if new <= members:
-            return group.subgroup(members)
-        members = _closure_set(t, members | new, group.identity)
+    """Least normal subgroup containing `seed`.
+
+    Grown from the closure of `seed` by conjugating each of its generators
+    by the generators of the group; see :func:`_normal_closure`.
+    """
+    return group.subgroup(_normal_closure(group, frozenset({group.identity}), seed))
+
+
+def _normal_closure(group: FiniteGroup, base: frozenset[int],
+                    seed: Iterable[int]) -> frozenset[int]:
+    """Least normal subgroup containing the normal subgroup `base` and `seed`.
+
+    The result N is generated by `base` and a list of generators. Each
+    generator is conjugated by each generator of the group and N is extended
+    by the conjugates outside it, which join the list. Once the list is
+    exhausted, N^s lies in N for every group generator s, so N is normal.
+    """
+    t, inv = group.table, group.inverse
+    outer = np.array(group.generators, dtype=np.int64)
+    gens = [int(x) for x in seed]
+    members = _closure(t, base, gens)
+    for x in gens:
+        conj = t[t[outer, x], inv[outer]]
+        fresh = [int(c) for c in conj if int(c) not in members]
+        if fresh:
+            members = _closure(t, members, fresh)
+            gens.extend(fresh)
+    return members
 
 
 def centralizer(group: FiniteGroup, subset: Iterable[int],
@@ -449,9 +491,9 @@ def _power_map(group: FiniteGroup, k: int) -> np.ndarray:
 def frattini_subgroup(group: FiniteGroup) -> Subgroup:
     """Intersection of the maximal subgroups.
 
-    For p-groups this is the closure of commutators and p-th powers; the
-    general case intersects the maximal subgroups found by exhaustive
-    subgroup enumeration, which is fine at the orders targeted here.
+    For p-groups this is the closure of commutators and p-th powers. Any
+    other group intersects the maximal subgroups of the full lattice from
+    :func:`all_subgroups`, well under a second at order 216.
     """
     n = group.order
     p = _prime_power_base(n)
@@ -524,21 +566,23 @@ def p_core(group: FiniteGroup, p: int) -> Subgroup:
 def pprime_core(group: FiniteGroup, p: int) -> Subgroup:
     """Largest normal p'-subgroup, by fixed-point iteration.
 
-    Repeatedly absorbs p'-elements whose normal closure together with the
-    current subgroup still has order coprime to p.
+    Repeatedly absorbs a conjugacy class of p'-elements whose normal
+    closure together with the current subgroup still has order coprime to
+    p. That closure is the same for every member of a class, so only class
+    representatives are tried.
     """
-    current = group.trivial_subgroup
+    current = frozenset({group.identity})
     changed = True
     while changed:
         changed = False
-        for x in range(group.order):
-            if x in current.members or group.element_order(x) % p == 0:
+        for x in group.conjugacy_classes.representatives:
+            if x in current or group.element_order(x) % p == 0:
                 continue
-            attempt = normal_closure(group, set(current.members) | {x})
-            if attempt.order % p != 0:
+            attempt = _normal_closure(group, current, (x,))
+            if len(attempt) % p != 0:
                 current = attempt
                 changed = True
-    return current
+    return group.subgroup(current)
 
 
 def p_residual(group: FiniteGroup, p: int) -> Subgroup:
@@ -669,7 +713,7 @@ def hall_complement(group: FiniteGroup, p: int) -> Subgroup:
         for x in pprime:
             if x <= floor or x in members:
                 continue
-            bigger = _closure_set(group.table, members | {x}, group.identity)
+            bigger = _closure(group.table, members, (x,))
             if m % len(bigger) or bigger in seen:
                 continue
             seen.add(bigger)
@@ -901,20 +945,29 @@ def _compatible_derived_iso(g1, g2, d1: Subgroup, d2: Subgroup,
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure over added generators.
+    """Every subgroup, sorted by order and then by members.
 
-    Exhaustive and deterministic; meant for orders up to a few dozen.
+    Breadth-first search from the trivial subgroup: each subgroup H found
+    is extended to <H, g> by incremental closure, for one g per double
+    coset HgH outside H, since <H, g> = <H, hgh'> for h, h' in H. Exhaustive
+    and deterministic; the 118 subgroups of SmallGroup(216, 86) take well
+    under a second.
     """
+    t = group.table
     trivial = frozenset({group.identity})
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for members in frontier:
+            sub = np.fromiter(members, dtype=np.int64, count=len(members))
+            covered = np.zeros(group.order, dtype=bool)
+            covered[sub] = True
             for g in range(group.order):
-                if g in members:
+                if covered[g]:
                     continue
-                bigger = _closure_set(group.table, members | {g}, group.identity)
+                covered[t[t[sub, g][:, None], sub]] = True
+                bigger = _closure(t, members, (g,))
                 if bigger not in seen:
                     seen.add(bigger)
                     nxt.append(bigger)

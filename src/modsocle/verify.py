@@ -8,6 +8,7 @@ falsified statement, never an acceptable report state.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -447,13 +448,17 @@ def run_census(entries: Iterable[tuple[str, FiniteGroup]], p: int,
     the 51 groups of order 32 (7 abelian, 26 of class exactly two, 13 more
     satisfying the length-two-class criterion); a mismatch raises
     :class:`CensusMismatchError`.
+
+    `parallel` worker processes are used, but never more than there are
+    groups or CPUs: a process pool starts all its workers at once.
     """
     work = sorted(((name, group, p) for name, group in entries),
                   key=lambda w: (w[1].order, w[0]))
-    if parallel > 1 and len(work) > 1:
+    workers = min(parallel, len(work), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_census_worker, work))
     else:
         records = [_census_worker(w) for w in work]

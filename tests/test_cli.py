@@ -168,3 +168,15 @@ def test_census_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "census", "--prime", "3")
     _, out2, _ = run_cli(capsys, "census", "--prime", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, env", [(["--parallel", "0"], None),
+                                       (["--parallel", "-3"], None),
+                                       ([], "many")])
+def test_census_parallel_rejects_bad_values(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("MODSOCLE_PARALLEL", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--prime", "2", *argv])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err

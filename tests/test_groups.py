@@ -27,6 +27,7 @@ from modsocle.errors import (
     NotNormalError,
 )
 from modsocle.groups import (
+    _closure,
     all_subgroups,
     are_isoclinic,
     center,
@@ -485,6 +486,46 @@ def test_semidirect_shape_structure_over_catalog():
 def test_normal_subgroups_of_d16():
     subs = normal_subgroups(dihedral_group(16))
     assert {s.order for s in subs} == {1, 2, 4, 8, 16}
+
+
+def test_all_subgroups_equal_closures_of_small_subsets():
+    """Every subgroup of a group of order n has at most floor(log2 n)
+    generators, so the lattice is the set of closures of all subsets of at
+    most that many elements. Closures of (r+1)-subsets are those of an
+    r-subset's closure plus one element, which keeps the oracle cheap."""
+    for name, g in builtin_catalog():
+        if g.order > 24:
+            continue
+        table = g.table.tolist()
+        level = {frozenset({g.identity})}
+        expected = set(level)
+        for _ in range(g.order.bit_length() - 1):
+            level = {naive_closure(table, c | {x}, g.identity)
+                     for c in level for x in range(g.order)}
+            expected |= level
+        subs = all_subgroups(g)
+        assert {s.members for s in subs} == expected, name
+        assert len(subs) == len(expected)
+        assert [(s.order, s.sorted_members) for s in subs] == sorted(
+            (len(m), tuple(sorted(m))) for m in expected)
+
+
+def test_smallgroup_216_86_lattice():
+    g = smallgroup_216_86()
+    subs = all_subgroups(g)
+    assert len(subs) == 118
+    assert sum(s.is_normal for s in subs) == 6
+    assert frattini_subgroup(g).order == 3
+
+
+def test_closure_extends_a_subgroup_like_naive_closure():
+    rng = np.random.default_rng(7)
+    for g in (dihedral_group(12), holomorph_cyclic(8), direct_product(dihedral_group(6), cyclic(4))):
+        table = g.table.tolist()
+        for h in all_subgroups(g):
+            gens = {int(x) for x in rng.integers(0, g.order, size=rng.integers(0, 3, endpoint=True))}
+            assert _closure(g.table, h.members, gens) == naive_closure(
+                table, h.members | gens, g.identity)
 
 
 def test_normalizer_grows_p_subgroups():

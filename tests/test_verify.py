@@ -286,6 +286,34 @@ def test_census_parallel_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
+def test_census_workers_capped_by_groups_and_cpus(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    entries = builtin_two_groups(4)
+    serial = run_census(entries, 2).to_dict()
+    for cpus, expected in ((64, len(entries)), (2, 2), (1, None), (None, None)):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        started.clear()
+        assert run_census(entries, 2, parallel=100000).to_dict() == serial
+        assert started == ([] if expected is None else [expected])
+
+
 def test_report_serialization_round_trip():
     report = verify_reynolds_criterion(s3(), 3)
     doc = report.to_dict()
