@@ -7,7 +7,7 @@ by two independent routes when the latter two are two-sided ideals of F_pG.
 
 __version__ = "0.1.0"
 
-from .algebra import AlgebraElement, CentralElement, GroupAlgebra, lambda_form
+from .algebra import AlgebraElement, CentralElement, GroupAlgebra
 from .catalog import builtin_catalog, builtin_p_groups, builtin_two_groups, load_catalog_dir
 from .constructors import (
     abelian,

@@ -23,7 +23,7 @@ from .errors import (
     HypothesisViolationError,
     NotNormalError,
 )
-from .fplin import FpSubspace, SpanBuilder
+from .fplin import FpSubspace
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -130,10 +130,6 @@ class CentralElement(AlgebraElement):
             raise DimensionMismatchError("coefficients are not class-constant")
 
 
-def lambda_form(a: AlgebraElement) -> int:
-    return a.identity_coefficient()
-
-
 @dataclass(frozen=True, eq=False)
 class PHShape:
     """Decomposition G = P x| H with normal Sylow p-subgroup and abelian H."""
@@ -186,7 +182,12 @@ class QuotientAnnihilatorResult:
 
 
 class GroupAlgebra:
-    """F_pG for a finite group G and a prime p."""
+    """F_pG for a finite group G and a prime p.
+
+    The radical, socle and Reynolds ideal of the center and the socle verdict
+    are cached properties, so each is computed once per algebra. An algebra
+    is not cached anywhere else: it lives as long as the call that made it.
+    """
 
     def __init__(self, group: FiniteGroup, p: int):
         self.group = group
@@ -313,6 +314,7 @@ class GroupAlgebra:
             power = power @ frob % p
         return power
 
+    @cached_property
     def jacobson_center(self) -> FpSubspace:
         """J(ZF_pG) in class coordinates, as the kernel of the iterated
         p-th power map."""
@@ -340,6 +342,7 @@ class GroupAlgebra:
                 f"{self.p}-subgroup by an abelian complement")
         return shape
 
+    @cached_property
     def jacobson_center_basis(self) -> dict[int, np.ndarray]:
         """Radical basis elements b_C by class index, in class coordinates.
 
@@ -371,13 +374,14 @@ class GroupAlgebra:
                 raise DualRouteDisagreementError("radical basis elements are dependent")
         return out
 
+    @cached_property
     def socle_center(self) -> FpSubspace:
         """soc(ZF_pG) in class coordinates: the annihilator of the radical
         inside the center."""
-        jac = self.jacobson_center()
-        maps = [self.central_mult_matrix(row) for row in jac.basis]
+        maps = [self.central_mult_matrix(row) for row in self.jacobson_center.basis]
         return fplin.common_nullspace(maps, self.p, self.center_dim)
 
+    @cached_property
     def reynolds_center(self) -> FpSubspace:
         """Span of the p'-section sums, in class coordinates."""
         rows = []
@@ -387,8 +391,10 @@ class GroupAlgebra:
             rows.append(vec)
         return FpSubspace.span(np.array(rows, dtype=np.int64), self.p, self.center_dim)
 
+    @cached_property
     def reynolds_space_fg(self) -> FpSubspace:
-        rows = [self.expand_central(v) for v in self.reynolds_center().basis]
+        """The Reynolds ideal in F_pG coordinates."""
+        rows = [self.expand_central(v) for v in self.reynolds_center.basis]
         return FpSubspace.span(np.array(rows, dtype=np.int64) if rows else
                                np.zeros((0, self.dim), dtype=np.int64), self.p, self.dim)
 
@@ -455,17 +461,17 @@ class GroupAlgebra:
         return rows[:, perm]
 
     def left_ideal_closure(self, space: FpSubspace) -> FpSubspace:
-        """Smallest left ideal of F_pG containing the given subspace."""
-        builder = SpanBuilder(self.p, self.dim)
-        builder.insert_many(space.basis)
-        changed = True
-        while changed:
-            changed = False
-            rows = np.array(builder.to_subspace().basis)
+        """Smallest left ideal of F_pG containing the given subspace: joined
+        with its left translates by each generator until it stops growing."""
+        closed = space
+        while True:
+            grown = closed
             for g in self.group.generators:
-                if builder.insert_many(self._left_translate(rows, g)):
-                    changed = True
-        return builder.to_subspace()
+                translates = self._left_translate(grown.basis, g)
+                grown = grown.join(FpSubspace.span(translates, self.p, self.dim))
+            if grown.dim == closed.dim:
+                return closed
+            closed = grown
 
     def is_ideal(self, space: FpSubspace) -> bool:
         """Closure of the subspace under both translations by the generators.
@@ -480,9 +486,9 @@ class GroupAlgebra:
             return True
         rows = space.basis
         for g in self.group.generators:
-            if not space.contains_rows(self._left_translate(rows, g)):
+            if not space.contains(self._left_translate(rows, g)):
                 return False
-            if not space.contains_rows(self._right_translate(rows, g)):
+            if not space.contains(self._right_translate(rows, g)):
                 return False
         return True
 
@@ -512,13 +518,14 @@ class GroupAlgebra:
 
     # -- the two-route verdicts ----------------------------------------------
 
+    @cached_property
     def soc_is_ideal(self) -> SocIdealVerdict:
         """Is soc(ZF_pG) an ideal of F_pG?
 
         Route 1 closes the socle under generator translations; route 2 tests
         containment in (G')+ . F_pG. The routes must agree.
         """
-        soc = self.socle_center()
+        soc = self.socle_center
         soc_fg = self.embed_central(soc)
         derived_sum = self.subgroup_sum_ideal(derived_subgroup(self.group))
         direct = self.is_ideal(soc_fg)
@@ -534,7 +541,7 @@ class GroupAlgebra:
             socle_fg=soc_fg,
             derived_sum_space=derived_sum,
             socle_dim=soc.dim,
-            jacobson_dim=self.jacobson_center().dim,
+            jacobson_dim=self.jacobson_center.dim,
             center_dim=self.center_dim,
         )
 
@@ -545,11 +552,11 @@ class GroupAlgebra:
         nonzero) and by the criterion (image class outside the p'-core
         downstairs and class-size ratio coprime to p).
         """
-        basis = self.jacobson_center_basis()
+        basis = self.jacobson_center_basis
         qalg, proj = self.quotient_algebra(n_sub)
         qcore = pprime_core(qalg.group, self.p)
         qcls = qalg.classes
-        qbasis = qalg.jacobson_center_basis()
+        qbasis = qalg.jacobson_center_basis
         selected = []
         multipliers: dict[int, int] = {}
         image_class: dict[int, int] = {}
@@ -601,7 +608,7 @@ class GroupAlgebra:
         maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
         route1 = fplin.common_nullspace(maps, self.p, qalg.center_dim)
         raw_maps = []
-        for i, vec in sorted(self.jacobson_center_basis().items()):
+        for i, vec in sorted(self.jacobson_center_basis.items()):
             pushed = np.zeros(qalg.dim, dtype=np.int64)
             np.add.at(pushed, selection.projection, self.expand_central(vec))
             pushed %= self.p
@@ -612,7 +619,7 @@ class GroupAlgebra:
             raise DualRouteDisagreementError(
                 f"quotient annihilator routes disagree for {self.group.name}")
         contained: Optional[bool] = None
-        if self.soc_is_ideal().is_ideal:
+        if self.soc_is_ideal.is_ideal:
             target = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
             contained = qalg.embed_central(route1).is_subspace_of(target)
             if not contained:

@@ -157,8 +157,8 @@ def _semidirect_from_file(path: Path) -> FiniteGroup:
 
 def analysis_document(group: FiniteGroup, p: int) -> dict:
     alg = GroupAlgebra(group, p)
-    soc = alg.soc_is_ideal()
-    reynolds = alg.reynolds_space_fg()
+    soc = alg.soc_is_ideal
+    reynolds = alg.reynolds_space_fg
     der = derived_subgroup(group)
     core = p_core(group, p)
     y_sub = two_element_class_subgroup(group)

@@ -141,15 +141,13 @@ class FpSubspace:
             return v
         return (v - v[:, list(self.pivots)] @ self.basis) % self.p
 
-    def contains(self, row) -> bool:
-        return not self.reduce(row).any()
-
-    def contains_rows(self, rows) -> bool:
+    def contains(self, rows) -> bool:
+        """True when the row, or every row of a matrix, lies in the subspace."""
         return not self.reduce(rows).any()
 
     def is_subspace_of(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
-        return other.contains_rows(self.basis)
+        return other.contains(self.basis)
 
     def join(self, other: "FpSubspace") -> "FpSubspace":
         self._check_compatible(other)
@@ -202,77 +200,3 @@ def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
     if not mats:
         return FpSubspace.full(p, ambient)
     return nullspace(np.vstack(mats), p, cols=ambient)
-
-
-def subspace_meet(a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    return a.meet(b)
-
-
-def subspace_join(a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    return a.join(b)
-
-
-def contains(a: FpSubspace, v) -> bool:
-    return a.contains(v)
-
-
-class SpanBuilder:
-    """Incrementally maintained RREF basis, for large spanning sets.
-
-    Rows are inserted one batch at a time; each insertion keeps the basis in
-    reduced row-echelon form so membership tests stay a single elimination.
-    """
-
-    def __init__(self, p: int, ambient: int):
-        self.p = validate_prime(p)
-        self.ambient = ambient
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        for piv, row in zip(self._pivots, self._rows):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % self.p
-        return v
-
-    def contains(self, row) -> bool:
-        v = as_matrix(row, self.p, cols=self.ambient)[0]
-        return not self._reduce(v).any()
-
-    def insert(self, row) -> bool:
-        """Add one row to the span; returns True if the dimension grew."""
-        v = self._reduce(as_matrix(row, self.p, cols=self.ambient)[0])
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), self.p - 2, self.p)) % self.p
-        for i, row_i in enumerate(self._rows):
-            c = int(row_i[piv])
-            if c:
-                self._rows[i] = (row_i - c * v) % self.p
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < piv:
-            pos += 1
-        self._rows.insert(pos, v)
-        self._pivots.insert(pos, piv)
-        return True
-
-    def insert_many(self, rows) -> int:
-        added = 0
-        m = as_matrix(rows, self.p, cols=self.ambient)
-        for v in m:
-            if self.insert(v):
-                added += 1
-        return added
-
-    def to_subspace(self) -> FpSubspace:
-        if not self._rows:
-            return FpSubspace.zero(self.p, self.ambient)
-        return FpSubspace.from_rref(np.array(self._rows, dtype=np.int64),
-                                    self._pivots, self.p, self.ambient)

@@ -2,15 +2,16 @@
 
 Elements are indices 0..n-1; the table is a dense numpy array so that one
 multiplication is one lookup. Groups and subgroups are immutable after
-construction and safe to share between workers; every operation here is a
-pure function of its inputs with deterministic (smallest-index) tie-breaking.
+construction and safe to share between workers; a group only fills in its
+memo of the subgroups computed from it. Every operation here is a pure
+function of its inputs with deterministic (smallest-index) tie-breaking.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -89,6 +90,7 @@ class FiniteGroup:
         self.inverse = inverse
         self.element_orders = element_orders
         self.generators = generators
+        self._facts: dict[tuple, "Subgroup"] = {}
         for arr in (self.table, self.inverse, self.element_orders):
             arr.flags.writeable = False
 
@@ -160,8 +162,8 @@ class FiniteGroup:
             representatives=tuple(c[0] for c in classes),
         )
 
-    def subgroup(self, members: Iterable[int], generated_by: tuple[int, ...] | None = None) -> "Subgroup":
-        return Subgroup(self, members, generated_by=generated_by)
+    def subgroup(self, members: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, members)
 
     @cached_property
     def trivial_subgroup(self) -> "Subgroup":
@@ -180,11 +182,9 @@ class FiniteGroup:
 class Subgroup:
     """Subset of a parent group's indices, validated to be a subgroup."""
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int],
-                 generated_by: tuple[int, ...] | None = None):
+    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
         self.members = frozenset(int(m) for m in members)
-        self.generated_by = generated_by
         self._validate()
 
     def _validate(self) -> None:
@@ -400,9 +400,8 @@ def make_group(table, name: str = "G", *, full_associativity: bool | None = None
 
 def generate_subgroup(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Least subgroup containing `seed`, by incremental closure."""
-    seed = tuple(int(s) for s in seed)
-    members = _closure(group.table, frozenset({group.identity}), seed)
-    return group.subgroup(members, generated_by=seed)
+    members = _closure(group.table, frozenset({group.identity}), (int(s) for s in seed))
+    return group.subgroup(members)
 
 
 def normal_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -476,11 +475,33 @@ def commutator_subgroup(group: FiniteGroup, a: Subgroup | Iterable[int],
     return generate_subgroup(group, (int(c) for c in comms))
 
 
+def _memoized(fn):
+    """Keep `fn(group, *args)` on the group, computed once per argument tuple.
+
+    Used for the subgroups that are deterministic functions of a group and
+    a prime (the characteristic subgroups, a Sylow subgroup, a Hall
+    complement), so every caller shares one result. A call that raises
+    stores nothing.
+    """
+    @wraps(fn)
+    def memoized(group: FiniteGroup, *args) -> Subgroup:
+        key = (fn.__name__, *args)
+        if key not in group._facts:
+            group._facts[key] = fn(group, *args)
+        return group._facts[key]
+
+    return memoized
+
+
+@_memoized
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
+    """G' = [G, G], computed once per group."""
     return commutator_subgroup(group, group.full_subgroup, group.full_subgroup)
 
 
+@_memoized
 def center(group: FiniteGroup) -> Subgroup:
+    """Z(G), computed once per group."""
     return centralizer(group, range(group.order))
 
 
@@ -530,12 +551,14 @@ def _p_part(n: int, p: int) -> int:
     return pk
 
 
+@_memoized
 def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown by normalizer ascent.
 
     Starting from the trivial subgroup, repeatedly adjoin the smallest
     p-element of the normalizer not already present; the extension stays a
     p-group because the current subgroup is normal in its normalizer.
+    Computed once per group and prime, so every caller sees the same one.
     """
     target = _p_part(group.order, p)
     current = group.trivial_subgroup
@@ -549,8 +572,12 @@ def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
     return current
 
 
+@_memoized
 def p_core(group: FiniteGroup, p: int) -> Subgroup:
-    """Largest normal p-subgroup: intersection of the Sylow conjugates."""
+    """Largest normal p-subgroup: intersection of the Sylow conjugates.
+
+    Computed once per group and prime.
+    """
     syl = sylow_subgroup(group, p)
     arr = np.array(syl.sorted_members, dtype=np.int64)
     t, inv = group.table, group.inverse
@@ -563,13 +590,14 @@ def p_core(group: FiniteGroup, p: int) -> Subgroup:
     return group.subgroup(members)
 
 
+@_memoized
 def pprime_core(group: FiniteGroup, p: int) -> Subgroup:
     """Largest normal p'-subgroup, by fixed-point iteration.
 
     Repeatedly absorbs a conjugacy class of p'-elements whose normal
     closure together with the current subgroup still has order coprime to
     p. That closure is the same for every member of a class, so only class
-    representatives are tried.
+    representatives are tried. Computed once per group and prime.
     """
     current = frozenset({group.identity})
     changed = True
@@ -585,16 +613,21 @@ def pprime_core(group: FiniteGroup, p: int) -> Subgroup:
     return group.subgroup(current)
 
 
+@_memoized
 def p_residual(group: FiniteGroup, p: int) -> Subgroup:
-    """Smallest normal subgroup with p-group quotient: generated by p'-elements."""
+    """Smallest normal subgroup with p-group quotient: generated by p'-elements.
+
+    Computed once per group and prime.
+    """
     seed = [g for g in range(group.order) if gcd(group.element_order(g), p) == 1]
     return generate_subgroup(group, seed)
 
 
+@_memoized
 def two_element_class_subgroup(group: FiniteGroup) -> Subgroup:
     """Subgroup generated by g f^-1 over all conjugacy classes {f, g} of length 2.
 
-    Trivial when no class of length two exists.
+    Trivial when no class of length two exists. Computed once per group.
     """
     seed = []
     for cls in group.conjugacy_classes.classes:
@@ -602,32 +635,6 @@ def two_element_class_subgroup(group: FiniteGroup) -> Subgroup:
             f, g = cls
             seed.append(group.mul(g, group.inv(f)))
     return generate_subgroup(group, seed)
-
-
-def characteristic_subgroup(group: FiniteGroup, kind: str, p: int | None = None) -> Subgroup:
-    """Dispatch table for the named characteristic subgroups."""
-    kind = kind.lower()
-    if kind == "derived":
-        return derived_subgroup(group)
-    if kind == "center":
-        return center(group)
-    if kind == "frattini":
-        return frattini_subgroup(group)
-    if kind in ("p_core", "op"):
-        return p_core(group, _require_p(p))
-    if kind in ("pprime_core", "opprime"):
-        return pprime_core(group, _require_p(p))
-    if kind in ("p_residual", "opresidual"):
-        return p_residual(group, _require_p(p))
-    if kind in ("two_element_class", "y"):
-        return two_element_class_subgroup(group)
-    raise ValueError(f"unknown characteristic subgroup kind {kind!r}")
-
-
-def _require_p(p: int | None) -> int:
-    if p is None:
-        raise ValueError("this subgroup kind requires a prime argument")
-    return p
 
 
 def reduced_commutator_subgroup(group: FiniteGroup, n_sub: Subgroup, p: int) -> Subgroup:
@@ -671,31 +678,15 @@ def commutators_with(group: FiniteGroup, h: int, p: int) -> Subgroup:
     return result
 
 
-def relative_subgroup(group: FiniteGroup, kind: str, *, subset=None, a=None, b=None,
-                      n_sub: Subgroup | None = None, h: int | None = None,
-                      p: int | None = None, within: Subgroup | None = None) -> Subgroup:
-    """Dispatch table for centralizers, normalizers and commutator-type subgroups."""
-    kind = kind.lower()
-    if kind == "centralizer":
-        return centralizer(group, subset, within=within)
-    if kind == "normalizer":
-        return normalizer(group, subset, within=within)
-    if kind == "commutator":
-        return commutator_subgroup(group, a, b)
-    if kind in ("reduced_commutator", "msub"):
-        return reduced_commutator_subgroup(group, n_sub, _require_p(p))
-    if kind in ("commutators_with", "uh"):
-        return commutators_with(group, h, _require_p(p))
-    raise ValueError(f"unknown relative subgroup kind {kind!r}")
-
-
+@_memoized
 def hall_complement(group: FiniteGroup, p: int) -> Subgroup:
     """A p'-complement to a normal Sylow p-subgroup.
 
     Found by depth-first search over p'-elements in increasing index order,
     keeping the running closure a p'-group of order dividing the target;
     the first complete complement found is returned, so the result is
-    deterministic.
+    deterministic. Computed once per group and prime; a group without a
+    complement raises on every call.
     """
     syl = sylow_subgroup(group, p)
     if not syl.is_normal:

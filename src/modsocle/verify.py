@@ -9,7 +9,6 @@ falsified statement, never an acceptable report state.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -71,15 +70,12 @@ class VerdictReport:
     group_order: int
     prime: int
     claims: tuple[ClaimResult, ...]
-    elapsed_seconds: float
 
     @property
     def all_agree(self) -> bool:
         return all(c.agree for c in self.claims)
 
     def to_dict(self) -> dict:
-        # elapsed time is intentionally excluded: report bodies are
-        # byte-reproducible for identical inputs.
         return {
             "group": {"name": self.group_name, "order": self.group_order},
             "prime": self.prime,
@@ -128,15 +124,9 @@ def _not_applicable(claim_id: str, reason: str) -> ClaimResult:
                        applicable=False, witness={"reason": reason})
 
 
-def _report(group: FiniteGroup, p: int, claims: Sequence[ClaimResult],
-            started: float) -> VerdictReport:
-    return VerdictReport(
-        group_name=group.name,
-        group_order=group.order,
-        prime=p,
-        claims=tuple(claims),
-        elapsed_seconds=time.perf_counter() - started,
-    )
+def _report(group: FiniteGroup, p: int, claims: Sequence[ClaimResult]) -> VerdictReport:
+    return VerdictReport(group_name=group.name, group_order=group.order, prime=p,
+                         claims=tuple(claims))
 
 
 def _is_p_group(group: FiniteGroup, p: int) -> bool:
@@ -172,9 +162,12 @@ def verify_reynolds_criterion(group: FiniteGroup, p: int) -> VerdictReport:
     p-core and G must split over a normal Sylow p-subgroup with abelian
     complement.
     """
-    started = time.perf_counter()
-    alg = GroupAlgebra(group, p)
-    reynolds = alg.reynolds_space_fg()
+    return _report(group, p, _reynolds_claims(GroupAlgebra(group, p)))
+
+
+def _reynolds_claims(alg: GroupAlgebra) -> list[ClaimResult]:
+    group, p = alg.group, alg.p
+    reynolds = alg.reynolds_space_fg
     direct = alg.is_ideal(reynolds)
     core = p_core(group, p)
     criterion = derived_subgroup(group).members <= core.members
@@ -198,7 +191,7 @@ def verify_reynolds_criterion(group: FiniteGroup, p: int) -> VerdictReport:
         claims.append(_claim(
             "pprime_sections_are_sylow_cosets", sections == cosets, True,
             dimensions={"section_count": len(sections)}))
-    return _report(group, p, claims, started)
+    return claims
 
 
 def verify_pgroup_classification(group: FiniteGroup, p: int) -> VerdictReport:
@@ -206,11 +199,14 @@ def verify_pgroup_classification(group: FiniteGroup, p: int) -> VerdictReport:
     most two, or p = 2 and G' lies in the length-two-class subgroup times the
     center. A witness element certifies failure for odd p in class three.
     """
-    started = time.perf_counter()
     if not _is_p_group(group, p):
         raise HypothesisViolationError(f"{group.name} is not a {p}-group")
-    alg = GroupAlgebra(group, p)
-    verdict = alg.soc_is_ideal()
+    return _report(group, p, _pgroup_claims(GroupAlgebra(group, p)))
+
+
+def _pgroup_claims(alg: GroupAlgebra) -> list[ClaimResult]:
+    group, p = alg.group, alg.p
+    verdict = alg.soc_is_ideal
     cls = nilpotency_class(group)
     criterion = cls <= 2 or (p == 2 and _y_criterion(group))
     claims = [_claim(
@@ -221,7 +217,7 @@ def verify_pgroup_classification(group: FiniteGroup, p: int) -> VerdictReport:
         claims.append(_claim("metabelian_when_socle_ideal", is_metabelian(group), True))
     if p != 2 and cls == 3:
         claims.append(_witness_claim(alg, verdict))
-    return _report(group, p, claims, started)
+    return claims
 
 
 def _witness_claim(alg: GroupAlgebra, verdict: SocIdealVerdict) -> ClaimResult:
@@ -250,7 +246,6 @@ def verify_sufficient_conditions(group: FiniteGroup, p: int) -> VerdictReport:
     criterion holds inside the 2-core, the socle of the center is an ideal.
     Groups outside both hypotheses get a not-applicable verdict.
     """
-    started = time.perf_counter()
     der = derived_subgroup(group)
     core = p_core(group, p)
     z_core = centralizer(group, core.sorted_members, within=core)
@@ -265,14 +260,13 @@ def verify_sufficient_conditions(group: FiniteGroup, p: int) -> VerdictReport:
     if not hyp_central and not hyp_two:
         claims = [_not_applicable("sufficient_condition_implies_socle_ideal",
                                   "neither hypothesis holds")]
-        return _report(group, p, claims, started)
-    alg = GroupAlgebra(group, p)
-    verdict = alg.soc_is_ideal()
+        return _report(group, p, claims)
+    verdict = GroupAlgebra(group, p).soc_is_ideal
     claims = [_claim(
         "sufficient_condition_implies_socle_ideal", verdict.is_ideal, True,
         dimensions={"socle": verdict.socle_dim},
         witness={"central_hypothesis": hyp_central, "two_class_hypothesis": hyp_two})]
-    return _report(group, p, claims, started)
+    return _report(group, p, claims)
 
 
 def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
@@ -281,12 +275,11 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     of Z(P)G', its dimension is |G : G'Z(G)|, and the property passes to both
     factors and to P.
     """
-    started = time.perf_counter()
     alg = GroupAlgebra(group, p)
-    verdict = alg.soc_is_ideal()
+    verdict = alg.soc_is_ideal
     if not verdict.is_ideal:
         return _report(group, p, [_not_applicable(
-            "central_product_decomposition", "socle is not an ideal")], started)
+            "central_product_decomposition", "socle is not an ideal")])
     shape = alg.require_ph_shape()
     sylow, complement = shape.sylow, shape.complement
     cph = centralizer(group, complement.sorted_members, within=sylow)
@@ -319,10 +312,10 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     for label, sub in (("centralizer_factor", cph), ("residual_factor", residual),
                        ("sylow_subgroup", sylow)):
         as_group, _ = sub.as_group()
-        sub_verdict = GroupAlgebra(as_group, p).soc_is_ideal()
+        sub_verdict = GroupAlgebra(as_group, p).soc_is_ideal
         claims.append(_claim(f"socle_ideal_in_{label}", sub_verdict.is_ideal, True,
                              dimensions={"order": as_group.order}))
-    return _report(group, p, claims, started)
+    return _report(group, p, claims)
 
 
 def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
@@ -333,21 +326,20 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
     central product it holds iff it holds in both factors; and it holds iff
     the Reynolds ideal is an ideal and the property holds mod the p'-core.
     """
-    started = time.perf_counter()
     alg = GroupAlgebra(group, p)
-    base = alg.soc_is_ideal().is_ideal
+    base = alg.soc_is_ideal.is_ideal
     claims = []
     if n_sub is not None:
         q, _ = quotient(group, n_sub)
-        q_verdict = GroupAlgebra(q, p).soc_is_ideal().is_ideal
+        q_verdict = GroupAlgebra(q, p).soc_is_ideal.is_ideal
         claims.append(_claim(
             "socle_ideal_passes_to_quotient", (not base) or q_verdict, True,
             dimensions={"quotient_order": q.order},
             witness={"normal_order": n_sub.order}))
     core = pprime_core(group, p)
     bar, _ = quotient(group, core)
-    bar_verdict = GroupAlgebra(bar, p).soc_is_ideal().is_ideal
-    reynolds = alg.reynolds_space_fg()
+    bar_verdict = GroupAlgebra(bar, p).soc_is_ideal.is_ideal
+    reynolds = alg.reynolds_space_fg
     r_ideal = alg.is_ideal(reynolds)
     claims.append(_claim(
         "socle_ideal_iff_reynolds_ideal_and_mod_pprime_core",
@@ -360,12 +352,12 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
         verdicts = []
         for sub in (a, b):
             sub_group, _ = sub.as_group()
-            verdicts.append(GroupAlgebra(sub_group, p).soc_is_ideal().is_ideal)
+            verdicts.append(GroupAlgebra(sub_group, p).soc_is_ideal.is_ideal)
         claims.append(_claim(
             "central_product_ideal_iff_both_factors", base,
             verdicts[0] and verdicts[1],
             witness={"factor_orders": [a.order, b.order]}))
-    return _report(group, p, claims, started)
+    return _report(group, p, claims)
 
 
 def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictReport:
@@ -373,7 +365,6 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
     ideal; each side is also checked against the annihilator criterion over
     its central quotient.
     """
-    started = time.perf_counter()
     witness = are_isoclinic(g1, g2)
     if witness is None:
         raise HypothesisViolationError(f"{g1.name} and {g2.name} are not isoclinic")
@@ -381,7 +372,7 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
     claims = []
     for g in (g1, g2):
         alg = GroupAlgebra(g, p)
-        verdict = alg.soc_is_ideal()
+        verdict = alg.soc_is_ideal
         verdicts.append(verdict.is_ideal)
         if _is_p_group(g, p):
             selection = alg.class_selection(center(g))
@@ -395,13 +386,8 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
                 verdict.is_ideal, contained,
                 dimensions={"annihilator": ann.dim}))
     claims.insert(0, _claim("isoclinic_groups_share_verdict", verdicts[0], verdicts[1]))
-    return VerdictReport(
-        group_name=f"{g1.name}~{g2.name}",
-        group_order=g1.order,
-        prime=p,
-        claims=tuple(claims),
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    return VerdictReport(group_name=f"{g1.name}~{g2.name}", group_order=g1.order,
+                         prime=p, claims=tuple(claims))
 
 
 # -- census ------------------------------------------------------------------
@@ -411,27 +397,29 @@ ORDER32_EXPECTED = {"group_count": 51, "abelian": 7, "class_exactly_two": 26,
 
 
 def census_record(name: str, group: FiniteGroup, p: int) -> dict:
-    """Predicate row for one group; census counts are sums of these."""
+    """Predicate row for one group; census counts are sums of these.
+
+    One algebra serves the socle verdict and the claims of
+    :func:`verify_reynolds_criterion` and, for a p-group,
+    :func:`verify_pgroup_classification`.
+    """
     alg = GroupAlgebra(group, p)
-    soc = alg.soc_is_ideal()
-    reynolds_report = verify_reynolds_criterion(group, p)
-    record = {
+    soc = alg.soc_is_ideal
+    reynolds_claims = _reynolds_claims(alg)
+    is_p_group = _is_p_group(group, p)
+    return {
         "name": name,
         "order": group.order,
         "abelian": group.is_abelian,
-        "is_p_group": _is_p_group(group, p),
+        "is_p_group": is_p_group,
         "nilpotency_class": _nilpotency_class_or_none(group),
         "socle_ideal": soc.is_ideal,
         "socle_dim": soc.socle_dim,
-        "reynolds_ideal": bool(reynolds_report.claims[0].route_1),
+        "reynolds_ideal": bool(reynolds_claims[0].route_1),
         "y_criterion": _y_criterion(group) if p == 2 else None,
-        "routes_agree": reynolds_report.all_agree,
+        "routes_agree": all(c.agree for c in reynolds_claims) and (
+            not is_p_group or all(c.agree for c in _pgroup_claims(alg))),
     }
-    if record["is_p_group"]:
-        record["routes_agree"] = (
-            record["routes_agree"]
-            and verify_pgroup_classification(group, p).all_agree)
-    return record
 
 
 def _census_worker(args) -> dict:

@@ -72,14 +72,14 @@ def test_criterion_1_holomorph_exact_values():
         g = _holomorph_c8()
         assert g.conjugacy_classes.count == 11
         alg = GroupAlgebra(g, 2)
-        verdict = alg.soc_is_ideal()
+        verdict = alg.soc_is_ideal
         assert verdict.center_dim == 11
         assert verdict.jacobson_dim == 10
-        jac = alg.jacobson_center()
+        jac = alg.jacobson_center
         for a in jac.basis:
             for b in jac.basis:
                 assert not alg.central_multiply(a, b).any()
-        assert alg.socle_center() == jac
+        assert alg.socle_center == jac
         assert verdict.socle_dim == 10
         assert verdict.derived_sum_space.dim == 8
         assert verdict.is_ideal is False
@@ -102,7 +102,7 @@ def test_criterion_2_smallgroup_216_86():
         assert center(dgroup).members == derived_subgroup(dgroup).members
         assert all(dgroup.element_order(x) in (1, 3) for x in range(27))
         alg = GroupAlgebra(g, 3)
-        verdict = alg.soc_is_ideal()
+        verdict = alg.soc_is_ideal
         assert verdict.is_ideal is True
         comp = hall_complement(g, 3)
         rows = []
@@ -125,7 +125,7 @@ def test_criterion_3_dihedral_family_and_isoclinism():
         started = time.perf_counter()
         for n in (3, 4, 5, 6):
             g = dihedral_group(2 ** n)
-            verdict = GroupAlgebra(g, 2).soc_is_ideal()
+            verdict = GroupAlgebra(g, 2).soc_is_ideal
             assert verdict.is_ideal is True
             y = two_element_class_subgroup(g)
             z = center(g)
@@ -146,7 +146,7 @@ def test_criterion_4_two_groups_up_to_16():
         entries = builtin_two_groups(16)
         assert len(entries) >= 20
         for name, g in entries:
-            assert GroupAlgebra(g, 2).soc_is_ideal().is_ideal, name
+            assert GroupAlgebra(g, 2).soc_is_ideal.is_ideal, name
 
 
 def _order32_catalog_dir():
@@ -229,11 +229,11 @@ def test_criterion_8_radical_basis_oracle_equivalence():
                 if alg.ph_shape is None:
                     continue
                 shaped += 1
-                basis = alg.jacobson_center_basis()
+                basis = alg.jacobson_center_basis
                 rows = (np.array(list(basis.values()), dtype=np.int64)
                         if basis else np.zeros((0, alg.center_dim), dtype=np.int64))
                 span = FpSubspace.span(rows, p, alg.center_dim)
-                assert span == alg.jacobson_center(), (name, p)
+                assert span == alg.jacobson_center, (name, p)
         assert shaped >= 60
 
 
@@ -250,7 +250,7 @@ def test_criterion_9_sandwich_grading_and_two_class_bound():
                 if shape is None:
                     continue
                 shaped += 1
-                soc_fg = alg.embed_central(alg.socle_center())
+                soc_fg = alg.embed_central(alg.socle_center)
                 sylow = shape.sylow
                 z_sylow = centralizer(g, sylow.sorted_members, within=sylow)
                 zp_der = generate_subgroup(g, z_sylow.members | derived_subgroup(g).members)
@@ -272,7 +272,7 @@ def test_criterion_9_sandwich_grading_and_two_class_bound():
             if g.order == 1:
                 continue
             alg = GroupAlgebra(g, 2)
-            soc_fg = alg.embed_central(alg.socle_center())
+            soc_fg = alg.embed_central(alg.socle_center)
             bound = alg.subgroup_sum_ideal(two_element_class_subgroup(g))
             assert soc_fg.is_subspace_of(bound), name
 

@@ -1,5 +1,7 @@
 """Group algebra operations: center, radical, socle, Reynolds ideal, quotients."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -213,18 +215,18 @@ def test_inflation_detects_derived_coset_membership():
 # -- Jacobson radical of the center ---------------------------------------------
 
 def test_jacobson_center_semisimple_is_zero():
-    assert GroupAlgebra(cyclic(5), 2).jacobson_center().dim == 0
-    assert GroupAlgebra(s3(), 5).jacobson_center().dim == 0
+    assert GroupAlgebra(cyclic(5), 2).jacobson_center.dim == 0
+    assert GroupAlgebra(s3(), 5).jacobson_center.dim == 0
 
 
 def test_jacobson_center_c2():
-    jac = GroupAlgebra(cyclic(2), 2).jacobson_center()
+    jac = GroupAlgebra(cyclic(2), 2).jacobson_center
     assert jac.dim == 1 and jac.contains([1, 1])
 
 
 def test_jacobson_center_holomorph_square_zero():
     alg = GroupAlgebra(holomorph_cyclic(8), 2)
-    jac = alg.jacobson_center()
+    jac = alg.jacobson_center
     assert jac.dim == 10
     for a in jac.basis:
         for b in jac.basis:
@@ -234,7 +236,7 @@ def test_jacobson_center_holomorph_square_zero():
 def test_jacobson_basis_pgroup_count():
     g = dihedral_group(16)
     alg = GroupAlgebra(g, 2)
-    basis = alg.jacobson_center_basis()
+    basis = alg.jacobson_center_basis
     assert len(basis) == g.conjugacy_classes.count - 1
 
 
@@ -242,7 +244,7 @@ def test_jacobson_basis_s3_frozen_values():
     alg = GroupAlgebra(s3(), 3)
     cls = alg.classes
     sizes = dict(zip(range(cls.count), cls.sizes()))
-    basis = alg.jacobson_center_basis()
+    basis = alg.jacobson_center_basis
     assert len(basis) == 2
     identity_class = int(cls.class_of[alg.group.identity])
     for i, vec in basis.items():
@@ -260,22 +262,22 @@ def test_jacobson_basis_s3_frozen_values():
 
 def test_jacobson_basis_requires_shape():
     with pytest.raises(HypothesisViolationError):
-        GroupAlgebra(s3(), 2).jacobson_center_basis()
+        GroupAlgebra(s3(), 2).jacobson_center_basis
 
 
 def test_jacobson_basis_spans_radical_sample():
     for group, p in ((dihedral_group(8), 2), (s3(), 3), (smallgroup_216_86(), 3)):
         alg = GroupAlgebra(group, p)
-        span = FpSubspace.span(np.array(list(alg.jacobson_center_basis().values())),
+        span = FpSubspace.span(np.array(list(alg.jacobson_center_basis.values())),
                                p, alg.center_dim)
-        assert span == alg.jacobson_center()
+        assert span == alg.jacobson_center
 
 
 # -- socle ----------------------------------------------------------------------
 
 def test_socle_semisimple_is_whole_center():
     alg = GroupAlgebra(s3(), 5)
-    assert alg.socle_center().dim == alg.center_dim
+    assert alg.socle_center.dim == alg.center_dim
 
 
 def test_socle_abelian_p_group_is_group_sum():
@@ -283,7 +285,7 @@ def test_socle_abelian_p_group_is_group_sum():
         g = abelian(invs)
         p = 2 if g.order % 2 == 0 else 3
         alg = GroupAlgebra(g, p)
-        soc = alg.socle_center()
+        soc = alg.socle_center
         assert soc.dim == 1
         assert soc.contains(np.ones(alg.center_dim, dtype=np.int64))
 
@@ -291,9 +293,9 @@ def test_socle_abelian_p_group_is_group_sum():
 def test_socle_matches_naive_annihilator():
     for group, p in ((cyclic(4), 2), (dihedral_group(8), 2), (s3(), 3), (s3(), 2)):
         alg = GroupAlgebra(group, p)
-        jac_fg = [alg.expand_central(v) for v in alg.jacobson_center().basis]
+        jac_fg = [alg.expand_central(v) for v in alg.jacobson_center.basis]
         expected = naive_center_annihilator(alg, jac_fg)
-        soc = alg.socle_center()
+        soc = alg.socle_center
         assert {tuple(v) for v in expected} == {
             tuple(v) for v in __import__("tests.oracles", fromlist=["enumerate_span"])
             .enumerate_span(soc.basis, p, alg.center_dim)}
@@ -301,14 +303,14 @@ def test_socle_matches_naive_annihilator():
 
 def test_socle_holomorph_equals_radical():
     alg = GroupAlgebra(holomorph_cyclic(8), 2)
-    assert alg.socle_center() == alg.jacobson_center()
-    assert alg.socle_center().dim == 10
+    assert alg.socle_center == alg.jacobson_center
+    assert alg.socle_center.dim == 10
 
 
 def test_socle_annihilation_and_maximality_sample():
     alg = GroupAlgebra(dihedral_group(16), 2)
-    soc = alg.socle_center()
-    jac = alg.jacobson_center()
+    soc = alg.socle_center
+    jac = alg.jacobson_center
     for v in soc.basis:
         for b in jac.basis:
             assert not alg.central_multiply(v, b).any()
@@ -326,17 +328,17 @@ def test_socle_annihilation_and_maximality_sample():
 
 def test_reynolds_semisimple_and_p_group():
     alg = GroupAlgebra(cyclic(5), 2)
-    assert alg.reynolds_center().dim == alg.center_dim
+    assert alg.reynolds_center.dim == alg.center_dim
     g = dihedral_group(16)
     alg2 = GroupAlgebra(g, 2)
-    rey = alg2.reynolds_center()
+    rey = alg2.reynolds_center
     assert rey.dim == 1
     assert rey.contains(np.ones(alg2.center_dim, dtype=np.int64))
 
 
 def test_reynolds_s3_at_2():
     alg = GroupAlgebra(s3(), 2)
-    assert alg.reynolds_center().dim == 2
+    assert alg.reynolds_center.dim == 2
 
 
 def test_reynolds_inside_socle_and_annihilates_radical():
@@ -345,10 +347,10 @@ def test_reynolds_inside_socle_and_annihilates_radical():
             if g.order > 32:
                 continue
             alg = GroupAlgebra(g, p)
-            rey = alg.reynolds_center()
-            assert rey.is_subspace_of(alg.socle_center())
+            rey = alg.reynolds_center
+            assert rey.is_subspace_of(alg.socle_center)
             for r in rey.basis:
-                for b in alg.jacobson_center().basis:
+                for b in alg.jacobson_center.basis:
                     assert not alg.central_multiply(r, b).any()
 
 
@@ -372,12 +374,31 @@ def test_derived_coset_space_is_ideal_catalog_sample():
 
 
 def test_soc_is_ideal_cases():
-    assert GroupAlgebra(abelian([4, 2]), 2).soc_is_ideal().is_ideal
-    hol = GroupAlgebra(holomorph_cyclic(8), 2).soc_is_ideal()
+    assert GroupAlgebra(abelian([4, 2]), 2).soc_is_ideal.is_ideal
+    hol = GroupAlgebra(holomorph_cyclic(8), 2).soc_is_ideal
     assert not hol.is_ideal
     assert hol.socle_dim == 10 and hol.derived_sum_space.dim == 8
     for order in (8, 16, 32, 64):
-        assert GroupAlgebra(dihedral_group(order), 2).soc_is_ideal().is_ideal
+        assert GroupAlgebra(dihedral_group(order), 2).soc_is_ideal.is_ideal
+
+
+def test_radical_socle_and_verdict_are_computed_once_per_algebra(monkeypatch):
+    runs = []
+    radical = GroupAlgebra.jacobson_center.func
+
+    def counted(self):
+        runs.append(self)
+        return radical(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(GroupAlgebra, "jacobson_center")
+    monkeypatch.setattr(GroupAlgebra, "jacobson_center", prop)
+    alg = GroupAlgebra(dihedral_group(16), 2)
+    verdict = alg.soc_is_ideal
+    assert alg.soc_is_ideal is verdict
+    assert alg.socle_center is alg.socle_center
+    assert alg.jacobson_center.dim == verdict.jacobson_dim
+    assert runs == [alg]
 
 
 # -- class selection and quotient annihilators -------------------------------------
@@ -386,7 +407,7 @@ def test_class_selection_n_trivial_selects_all():
     g = dihedral_group(8)
     alg = GroupAlgebra(g, 2)
     sel = alg.class_selection(g.trivial_subgroup)
-    assert set(sel.selected) == set(alg.jacobson_center_basis())
+    assert set(sel.selected) == set(alg.jacobson_center_basis)
     assert all(k == 1 for k in sel.multipliers.values())
 
 
@@ -488,7 +509,7 @@ def test_pgroup_socle_ideal_iff_central_derived_space():
             if n != 1 or g.order == 1 or g.order > 128:
                 continue
             alg = GroupAlgebra(g, p)
-            verdict = alg.soc_is_ideal()
+            verdict = alg.soc_is_ideal
             zg_der = generate_subgroup(g, center(g).members | derived_subgroup(g).members)
             equality = verdict.socle_fg == alg.subgroup_sum_ideal(zg_der)
             assert verdict.is_ideal == equality
@@ -501,7 +522,7 @@ def test_socle_inside_central_quotient_image():
         if g.order == 1:
             continue
         alg = GroupAlgebra(g, 2)
-        soc = alg.embed_central(alg.socle_center())
+        soc = alg.embed_central(alg.socle_center)
         assert soc.is_subspace_of(alg.subgroup_sum_ideal(center(g)))
 
 
@@ -521,7 +542,7 @@ def test_centralizer_product_condition_implies_socle_in_sylow_center_space():
             product = {g.mul(a, b) for a in cgh.members for b in zp.members}
             if len(product) != g.order:
                 continue
-            soc = alg.embed_central(alg.socle_center())
+            soc = alg.embed_central(alg.socle_center)
             assert soc.is_subspace_of(alg.subgroup_sum_ideal(zp))
             checked += 1
     assert checked >= 5

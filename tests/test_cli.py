@@ -1,6 +1,8 @@
 """Command-line interface: specs, reports, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +182,19 @@ def test_census_parallel_rejects_bad_values(monkeypatch, capsys, argv, env):
         main(["census", "--prime", "2", *argv])
     assert exc.value.code == 2
     assert "--parallel" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--suite", "all", "--prime", "2"),
+                                  ("verify", "--suite", "all", "--prime", "3"),
+                                  ("census", "--prime", "2"),
+                                  ("census", "--prime", "3")])
+def test_verify_and_census_stdout_match_recorded_digests(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MODSOCLE_CATALOG", raising=False)
+    monkeypatch.delenv("MODSOCLE_PARALLEL", raising=False)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli"][" ".join(argv)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from modsocle import fplin
 from modsocle.errors import DimensionMismatchError
-from modsocle.fplin import FpSubspace, SpanBuilder, common_nullspace, nullspace, rank, rref
+from modsocle.fplin import FpSubspace, common_nullspace, nullspace, rank, rref
 
 from .oracles import brute_nullspace_vectors, brute_rank, enumerate_closure, enumerate_span
 
@@ -87,17 +87,6 @@ def test_common_nullspace():
     assert space.dim == 1
     expected = brute_nullspace_vectors([[1, 0, 0], [0, 1, 0]], 2)
     assert enumerate_span(space.basis, 2, 3) == expected
-
-
-def test_span_builder_matches_span():
-    rng = np.random.default_rng(7)
-    for p in (2, 3, 5):
-        rows = rng.integers(0, p, size=(8, 5))
-        builder = SpanBuilder(p, 5)
-        builder.insert_many(rows)
-        assert builder.to_subspace() == FpSubspace.span(rows, p, 5)
-        for r in rows:
-            assert builder.contains(r)
 
 
 small_matrices = st.integers(2, 3).flatmap(

@@ -534,36 +534,30 @@ def test_normalizer_grows_p_subgroups():
     assert normalizer(g, syl).order >= syl.order
 
 
-def test_characteristic_subgroup_dispatcher():
-    from modsocle.groups import characteristic_subgroup
-
+def test_cores_and_residual_of_a_two_group_are_trivial():
     g = dihedral_group(16)
-    assert characteristic_subgroup(g, "derived").members == derived_subgroup(g).members
-    assert characteristic_subgroup(g, "center").members == center(g).members
-    assert characteristic_subgroup(g, "frattini").members == frattini_subgroup(g).members
-    assert characteristic_subgroup(g, "p_core", p=2).members == p_core(g, 2).members
-    assert characteristic_subgroup(g, "pprime_core", p=2).order == 1
-    assert characteristic_subgroup(g, "p_residual", p=2).order == 1
-    assert characteristic_subgroup(g, "y").members == two_element_class_subgroup(g).members
-    with pytest.raises(ValueError):
-        characteristic_subgroup(g, "nope")
-    with pytest.raises(ValueError):
-        characteristic_subgroup(g, "p_core")
+    assert pprime_core(g, 2).order == 1
+    assert p_residual(g, 2).order == 1
 
 
-def test_relative_subgroup_dispatcher():
-    from modsocle.groups import relative_subgroup
-
+def test_centralizer_normalizer_and_reduced_commutator_in_d8():
     g = dihedral_group(8)
     z = center(g)
-    assert relative_subgroup(g, "centralizer", subset=z.sorted_members).order == 8
-    assert relative_subgroup(g, "normalizer", subset=z.sorted_members).order == 8
-    comm = relative_subgroup(g, "commutator", a=g.full_subgroup, b=g.full_subgroup)
-    assert comm.members == derived_subgroup(g).members
-    red = relative_subgroup(g, "reduced_commutator", n_sub=g.full_subgroup, p=2)
-    assert red.is_normal
-    r = next(x for x in range(8) if g.element_order(x) == 4)
-    u = relative_subgroup(g, "commutators_with", h=r, p=2)
-    assert u.order == 2
-    with pytest.raises(ValueError):
-        relative_subgroup(g, "unknown")
+    assert centralizer(g, z.sorted_members).order == 8
+    assert normalizer(g, z.sorted_members).order == 8
+    assert reduced_commutator_subgroup(g, g.full_subgroup, 2).is_normal
+
+
+def test_characteristic_subgroups_are_computed_once_per_group_and_prime():
+    g = dihedral_group(12)
+    assert sylow_subgroup(g, 2) is sylow_subgroup(g, 2)
+    assert sylow_subgroup(g, 2) != sylow_subgroup(g, 3)
+    assert derived_subgroup(g) is derived_subgroup(g)
+    for fact in (center, two_element_class_subgroup):
+        assert fact(g) is fact(g)
+    for fact in (p_core, pprime_core, p_residual, hall_complement):
+        assert fact(g, 3) is fact(g, 3)
+    assert pprime_core(g, 2) != pprime_core(g, 3)
+    twin = dihedral_group(12)
+    assert derived_subgroup(twin) is not derived_subgroup(g)
+    assert derived_subgroup(twin).members == derived_subgroup(g).members

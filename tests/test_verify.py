@@ -1,7 +1,9 @@
 """Two-route theorem verification and the census machinery."""
 
+import gc
 import itertools
 import json
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from modsocle.catalog import (
     central_product_d8_d8,
     wreath_3_3,
 )
+from modsocle.cli import analysis_document
 from modsocle.constructors import (
     abelian,
     cyclic,
@@ -31,6 +34,7 @@ from modsocle.groups import (
     quotient,
 )
 from modsocle.verify import (
+    census_record,
     run_census,
     verify_central_decomposition,
     verify_isoclinism_pair,
@@ -130,7 +134,7 @@ def test_sufficient_conditions_not_necessary():
     report = verify_sufficient_conditions(smallgroup_216_86(), 3)
     claim = report.claims[0]
     assert not claim.applicable
-    assert GroupAlgebra(smallgroup_216_86(), 3).soc_is_ideal().is_ideal
+    assert GroupAlgebra(smallgroup_216_86(), 3).soc_is_ideal.is_ideal
 
 
 def test_sufficient_conditions_zero_disagreements_catalog():
@@ -215,8 +219,8 @@ def test_holomorph_has_no_fully_ideal_central_decomposition():
         if a.order * b.order < g.order or not is_central_product(g, a, b):
             continue
         found += 1
-        va = GroupAlgebra(a.as_group()[0], 2).soc_is_ideal().is_ideal
-        vb = GroupAlgebra(b.as_group()[0], 2).soc_is_ideal().is_ideal
+        va = GroupAlgebra(a.as_group()[0], 2).soc_is_ideal.is_ideal
+        vb = GroupAlgebra(b.as_group()[0], 2).soc_is_ideal.is_ideal
         assert not (va and vb)
     assert found >= 1
 
@@ -326,8 +330,8 @@ def test_socle_ideal_implies_reynolds_ideal_over_catalog():
             if g.order > 64:
                 continue
             alg = GroupAlgebra(g, p)
-            if alg.soc_is_ideal().is_ideal:
-                assert alg.is_ideal(alg.reynolds_space_fg()), (name, p)
+            if alg.soc_is_ideal.is_ideal:
+                assert alg.is_ideal(alg.reynolds_space_fg), (name, p)
 
 
 def test_census_two_group_counts_match_classification():
@@ -340,3 +344,35 @@ def test_census_two_group_counts_match_classification():
         if rec["abelian"] or (rec["nilpotency_class"] is not None
                               and rec["nilpotency_class"] <= 2) or rec["y_criterion"])
     assert summary.counts["socle_ideal"] == expected
+
+
+def _record_algebras(monkeypatch) -> list:
+    """Patch GroupAlgebra to log (group, weak reference) for each algebra built."""
+    made = []
+    init = GroupAlgebra.__init__
+
+    def recording_init(self, group, p):
+        init(self, group, p)
+        made.append((group, weakref.ref(self)))
+
+    monkeypatch.setattr(GroupAlgebra, "__init__", recording_init)
+    return made
+
+
+def test_census_record_builds_one_algebra_for_its_group(monkeypatch):
+    made = _record_algebras(monkeypatch)
+    for name, g, p in (("D16", dihedral_group(16), 2), ("D12", dihedral_group(12), 3),
+                       ("W33", wreath_3_3(), 3)):
+        census_record(name, g, p)
+        assert sum(group is g for group, _ in made) == 1, name
+
+
+def test_no_algebra_outlives_the_call_that_made_it(monkeypatch):
+    # A report holding an algebra of order 512 alive while the next one runs
+    # would add its class structure constants to the peak memory.
+    made = _record_algebras(monkeypatch)
+    census_record("W33", wreath_3_3(), 3)
+    analysis_document(dihedral_group(16), 2)
+    gc.collect()
+    assert len(made) > 2
+    assert all(ref() is None for _, ref in made)
