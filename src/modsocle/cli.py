@@ -31,6 +31,7 @@ from .constructors import (
     smallgroup_216_86,
 )
 from .errors import CensusMismatchError, ModsocleError, NotNilpotentError, ParseError
+from .fplin import is_prime
 from .groups import (
     FiniteGroup,
     center,
@@ -46,6 +47,7 @@ from .groups import (
     two_element_class_subgroup,
 )
 from .verify import (
+    _is_p_group,
     run_census,
     verify_central_decomposition,
     verify_isoclinism_pair,
@@ -117,6 +119,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _prime(text: str) -> int:
+    value = _positive_int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
     return value
 
 
@@ -236,10 +245,7 @@ def _catalog_entries(catalog_dir: str | None) -> tuple[CatalogData | None, list]
 def _suite_reports(suite: str, entries, p: int):
     def p_groups():
         for name, g in entries:
-            n = g.order
-            while n % p == 0:
-                n //= p
-            if n == 1 and g.order > 1:
+            if g.order > 1 and _is_p_group(g, p):
                 yield name, g
 
     if suite in ("A", "all"):
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="orders, dimensions and verdicts for one group")
     an.add_argument("group", help="group spec, e.g. dihedral:16 or file:groups/g.json")
-    an.add_argument("--prime", type=int, required=True)
+    an.add_argument("--prime", type=_prime, required=True)
     an.add_argument("--format", choices=("json", "md"), default="json")
     an.set_defaults(func=cmd_analyze)
 
@@ -320,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--suite", choices=SUITES, default="all",
                     help="A: Reynolds criterion, B: p-group classification, "
                          "C: sufficient conditions, D: central decomposition")
-    ve.add_argument("--prime", type=int, required=True)
+    ve.add_argument("--prime", type=_prime, required=True)
     ve.add_argument("--catalog", default=os.environ.get("MODSOCLE_CATALOG"),
                     help="directory of extra group files (env MODSOCLE_CATALOG)")
     ve.set_defaults(func=cmd_verify)
 
     ce = sub.add_parser("census", help="predicate counts over a catalog")
-    ce.add_argument("--prime", type=int, required=True)
+    ce.add_argument("--prime", type=_prime, required=True)
     ce.add_argument("--catalog", default=os.environ.get("MODSOCLE_CATALOG"),
                     help="directory of group files (env MODSOCLE_CATALOG); "
                          "defaults to the builtin catalog")

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from .errors import (
     NotNilpotentError,
     NotNormalError,
 )
-
-_ASSOC_FULL_LIMIT = 512
-_ASSOC_SAMPLES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,24 +284,6 @@ def _find_identity(table: np.ndarray) -> int:
     raise NotAGroupError("identity")
 
 
-def _associativity_check(table: np.ndarray, full: bool) -> None:
-    n = table.shape[0]
-    if full:
-        for a in range(n):
-            left = table[table[a], :]
-            right = table[a][table]
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise NotAGroupError("associativity", witness=(a, int(b), int(c)))
-    else:
-        rng = np.random.default_rng(0)
-        trips = rng.integers(0, n, size=(_ASSOC_SAMPLES, 3))
-        a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
-        if not np.array_equal(table[table[a, b], c], table[a, table[b, c]]):
-            bad = np.nonzero(table[table[a, b], c] != table[a, table[b, c]])[0][0]
-            raise NotAGroupError("associativity", witness=tuple(int(v) for v in trips[bad]))
-
-
 def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
     n = table.shape[0]
     orders = np.ones(n, dtype=np.int64)
@@ -330,7 +309,7 @@ def _closure(table: np.ndarray, base: frozenset[int], gens: Iterable[int]) -> fr
     outside the result brings in its whole coset, so the cost is
     O(|result| x |new generators|). A set closed under right multiplication
     by generators is the subgroup they generate only for an associative
-    table; `make_group` checks that.
+    table; `make_group` checks that exactly, by Light's test.
     """
     inside = np.zeros(table.shape[0], dtype=bool)
     sub = np.fromiter(base, dtype=np.int64, count=len(base))
@@ -356,23 +335,32 @@ def _closure(table: np.ndarray, base: frozenset[int], gens: Iterable[int]) -> fr
 
 
 def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
-    n = table.shape[0]
+    """Greedy smallest-index generators, found without assuming associativity.
+
+    A breadth-first search by right multiplication from the identity, so every
+    element is a left-normed product (..(s1 s2)..)sk of generators.
+    """
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[identity] = True
     gens: list[int] = []
-    current = frozenset({identity})
-    while len(current) < n:
-        g = min(x for x in range(n) if x not in current)
+    while not reached.all():
+        g = int(np.argmin(reached))
         gens.append(g)
-        current = _closure(table, current, (g,))
+        prods = table[np.flatnonzero(reached), g]
+        while prods.size:
+            fresh = np.unique(prods[~reached[prods]])
+            reached[fresh] = True
+            prods = table[fresh[:, None], gens].ravel()
     return tuple(gens)
 
 
-def make_group(table, name: str = "G", *, full_associativity: bool | None = None,
-               generators: Sequence[int] | None = None) -> FiniteGroup:
+def make_group(table, name: str = "G") -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
-    Checks the Latin square property, identity, inverses and associativity
-    (full below order 512, sampled above unless forced). Raises
-    :class:`NotAGroupError` naming the violated axiom with a witness.
+    Checks the Latin square property, a two-sided identity, associativity
+    (exactly, by Light's test over the greedy generators, at every order)
+    and two-sided inverses. Raises :class:`NotAGroupError` naming the
+    violated axiom with a witness.
     """
     t = np.array(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -384,17 +372,20 @@ def make_group(table, name: str = "G", *, full_associativity: bool | None = None
         raise NotAGroupError("index-range", witness=(int(t.min()), int(t.max())))
     _latin_check(t)
     identity = _find_identity(t)
-    if full_associativity is None:
-        full_associativity = n <= _ASSOC_FULL_LIMIT
-    _associativity_check(t, full_associativity)
-    inverse = np.empty(n, dtype=np.int64)
-    for g in range(n):
-        inv_candidates = np.nonzero(t[g] == identity)[0]
-        if inv_candidates.size != 1 or t[int(inv_candidates[0]), g] != identity:
-            raise NotAGroupError("inverse", witness=g)
-        inverse[g] = inv_candidates[0]
+    gens = _greedy_generators(t, identity)
+    # Light's test: the s with (x s) y = x (s y) for all x, y are closed under
+    # products (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2)
+    # and every element is a product of generators, so checking them is exact.
+    for s in gens:
+        left, right = t[t[:, s], :], t[:, t[s, :]]
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0]
+            raise NotAGroupError("associativity", witness=(int(x), s, int(y)))
+    inverse = np.argmax(t == identity, axis=1)
+    left_ok = t[inverse, np.arange(n)] == identity
+    if not left_ok.all():
+        raise NotAGroupError("inverse", witness=int(np.argmin(left_ok)))
     orders = _element_orders(t, identity)
-    gens = tuple(int(g) for g in generators) if generators else _greedy_generators(t, identity)
     return FiniteGroup(t, name, identity, inverse, orders, gens)
 
 
@@ -815,7 +806,7 @@ def _iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
         return
     if element_order_multiset(g1) != element_order_multiset(g2):
         return
-    gens = _greedy_generators(g1.table, g1.identity)
+    gens = g1.generators
     if not gens:
         yield GroupIso(g1, g2, np.array([g2.identity], dtype=np.int64))
         return

@@ -184,6 +184,16 @@ def test_census_parallel_rejects_bad_values(monkeypatch, capsys, argv, env):
     assert "--parallel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze", "dihedral:8"], ["verify", "--suite", "B"],
+                                     ["census"]])
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
+def test_non_prime_is_a_usage_error(capsys, command, prime):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--prime", prime])
+    assert exc.value.code == 2
+    assert "--prime" in capsys.readouterr().err
+
+
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 

@@ -116,12 +116,60 @@ def _search_nonassociative_loop(n=5):
     raise AssertionError("first loop found was associative; extend the search")
 
 
-def test_make_group_rejects_nonassociative_loop():
-    table = _search_nonassociative_loop()
+def _assert_associativity_witness(table):
     with pytest.raises(NotAGroupError) as err:
         make_group(table)
     assert err.value.axiom == "associativity"
-    assert len(err.value.witness) == 3
+    t = np.array(table)
+    x, s, y = err.value.witness
+    assert t[t[x, s], y] != t[x, t[s, y]]
+    return err.value.witness
+
+
+def test_make_group_rejects_nonassociative_loop():
+    _assert_associativity_witness(_search_nonassociative_loop())
+
+
+def test_make_group_rejects_nonassociative_latin_square_of_order_1024():
+    """C2^10 with one intercalate swapped: a Latin square with identity 0
+    that differs from a group in four cells, which random triples rarely hit."""
+    x = np.arange(1024)
+    table = x[:, None] ^ x[None, :]
+    a, b, c = 3, 5, 9
+    d = a ^ b ^ c
+    table[[a, a, b, b], [c, d, c, d]] = table[[a, a, b, b], [d, c, d, c]]
+    _assert_associativity_witness(table)
+
+
+def test_make_group_applies_lights_test_to_every_generator():
+    """A loop of order 6 with generators (1, 2) in which 1 passes the test."""
+    table = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+             [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+    assert _assert_associativity_witness(table)[1] == 2
+
+
+def _naive_greedy_generators(g):
+    table = g.table.tolist()
+    gens, reached = [], frozenset({g.identity})
+    while len(reached) < g.order:
+        gens.append(min(set(range(g.order)) - reached))
+        reached = naive_closure(table, reached | {gens[-1]}, g.identity)
+    return tuple(gens)
+
+
+def test_generators_are_greedy_and_reach_the_group_by_right_multiplication():
+    """Light's test in make_group is exact because every element is a
+    left-normed product of the generators; the sequence itself is the
+    greedy one, which is_ideal and the closures iterate over."""
+    extra = (dihedral_group(512), family("quaternion", 512), holomorph_cyclic(15),
+             dihedral_group(96), smallgroup_216_86())
+    for g in [g for _, g in builtin_catalog()] + list(extra):
+        assert g.generators == _naive_greedy_generators(g), g.name
+        reached, frontier = {g.identity}, [g.identity]
+        while frontier:
+            frontier = {g.mul(x, s) for x in frontier for s in g.generators} - reached
+            reached |= frontier
+        assert len(reached) == g.order, g.name
 
 
 # -- conjugacy classes --------------------------------------------------------
