@@ -68,11 +68,11 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
 
     def __rmul__(self, scalar: int):
-        return AlgebraElement(self.algebra, self.coeffs * int(scalar))
+        return AlgebraElement(self.algebra, self.coeffs * (int(scalar) % self.algebra.p))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return AlgebraElement(self.algebra, self.coeffs * other)
+            return AlgebraElement(self.algebra, self.coeffs * (other % self.algebra.p))
         self._check(other)
         alg = self.algebra
         table = alg.group.table
@@ -80,14 +80,6 @@ class AlgebraElement:
         for g in np.nonzero(self.coeffs)[0]:
             np.add.at(out, table[g], int(self.coeffs[g]) * other.coeffs)
         return AlgebraElement(alg, out)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        acc = self.algebra.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -187,11 +179,15 @@ class GroupAlgebra:
     The radical, socle and Reynolds ideal of the center and the socle verdict
     are cached properties, so each is computed once per algebra. An algebra
     is not cached anywhere else: it lives as long as the call that made it.
+
+    Products in F_pG and in the center sum at most |G| products of residues,
+    so `p` must satisfy (p-1)^2 * |G| < 2^63 (`fplin.check_modulus`).
     """
 
     def __init__(self, group: FiniteGroup, p: int):
         self.group = group
         self.p = fplin.validate_prime(p)
+        fplin.check_modulus(self.p, group.order)
         self._quotient_cache: dict[frozenset, tuple["GroupAlgebra", np.ndarray]] = {}
 
     def __repr__(self):
@@ -291,19 +287,28 @@ class GroupAlgebra:
         On a commutative algebra over the prime field the p-th power map is
         linear, so its iterate is a matrix power; the kernel is exactly the
         nilradical, which for the center equals the Jacobson radical.
+
+        Column i is e_i^p for the class sum e_i, by left-to-right
+        square-and-multiply over the bits of p after the leading one. The
+        first bit squares e_i, which is row a[i, i] of the structure
+        constants and costs no product; each later bit squares v through
+        `central_mult_matrix(v)`, k^3 operations for k classes; each 1 bit
+        then multiplies by e_i, which is `a[i].T @ v`, k^2 operations. So
+        p = 2 and p = 3 do no k^3 step, and a column costs O(k^3 log p).
         """
         k = self.center_dim
         p = self.p
         a = self.class_structure_constants
-        cols = []
+        bits = bin(p)[3:]
+        frob = np.empty((k, k), dtype=np.int64)
         for i in range(k):
-            mult_i = a[i].T
-            v = np.zeros(k, dtype=np.int64)
-            v[i] = 1
-            for _ in range(p - 1):
-                v = mult_i @ v % p
-            cols.append(v)
-        frob = np.column_stack(cols) if cols else np.zeros((0, 0), dtype=np.int64)
+            v = a[i, i]
+            for j, bit in enumerate(bits):
+                if j:
+                    v = self.central_mult_matrix(v) @ v % p
+                if bit == "1":
+                    v = a[i].T @ v % p
+            frob[:, i] = v
         m = 0
         q = 1
         while q < k:

@@ -30,8 +30,14 @@ from .constructors import (
     semidirect,
     smallgroup_216_86,
 )
-from .errors import CensusMismatchError, ModsocleError, NotNilpotentError, ParseError
-from .fplin import is_prime
+from .errors import (
+    CensusMismatchError,
+    ModsocleError,
+    ModulusTooLargeError,
+    NotNilpotentError,
+    ParseError,
+)
+from .fplin import validate_prime
 from .groups import (
     FiniteGroup,
     center,
@@ -124,9 +130,10 @@ def _positive_int(text: str) -> int:
 
 def _prime(text: str) -> int:
     value = _positive_int(text)
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
-    return value
+    try:
+        return validate_prime(value)
+    except (ValueError, ModulusTooLargeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int(text: str) -> int:

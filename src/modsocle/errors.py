@@ -11,6 +11,18 @@ class DimensionMismatchError(ModsocleError):
     """Two linear-algebra objects have incompatible ambient dimension or modulus."""
 
 
+class ModulusTooLargeError(ModsocleError):
+    """A prime is too large for exact int64 arithmetic at the requested size.
+
+    Sums of `terms` products of two residues mod p must stay below 2^63."""
+
+    def __init__(self, p: int, terms: int):
+        self.p = p
+        self.terms = terms
+        super().__init__(
+            f"modulus {p} is too large: (p-1)^2 * {terms} must be below 2^63")
+
+
 class NotAGroupError(ModsocleError):
     """A multiplication table violates one of the group axioms."""
 

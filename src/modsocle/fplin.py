@@ -8,15 +8,17 @@ equality is plain matrix equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ModulusTooLargeError
 
 Array = np.ndarray
 
 
+@cache
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -32,14 +34,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(p: int, terms: int) -> None:
+    """Raise `ModulusTooLargeError` unless `terms` products of two residues
+    mod p sum below 2^63.
+
+    Every int64 product here adds at most `terms` such products to a
+    residue before it is reduced, so under this bound it is exact."""
+    if (p - 1) ** 2 * terms >= 1 << 63:
+        raise ModulusTooLargeError(p, terms)
+
+
 def validate_prime(p: int) -> int:
-    if not is_prime(int(p)):
+    """`p` as an int, if it is a prime whose square fits in int64.
+
+    The size check comes first, so trial division runs only below about
+    3 * 10^9 (at most about 27,500 odd divisors)."""
+    p = int(p)
+    if p > 1:
+        check_modulus(p, 1)
+    if not is_prime(p):
         raise ValueError(f"modulus must be a prime, got {p}")
-    return int(p)
+    return p
 
 
 def as_matrix(rows, p: int, cols: int | None = None) -> Array:
-    """Normalize `rows` into a 2-D int64 array reduced mod p."""
+    """Normalize `rows` into a 2-D int64 array reduced mod p.
+
+    A product of two such matrices, or an elimination against a basis of
+    such rows, sums at most one product per column, so the column count
+    bounds p (`check_modulus`)."""
     validate_prime(p)
     m = np.array(rows, dtype=np.int64)
     if m.ndim == 1:
@@ -51,6 +74,7 @@ def as_matrix(rows, p: int, cols: int | None = None) -> Array:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatchError(f"expected {cols} columns, got {m.shape[1]}")
+    check_modulus(p, m.shape[1])
     return m % p
 
 

@@ -61,6 +61,25 @@ def brute_rank(rows, p: int, dim: int) -> int:
     return r
 
 
+def exact_rank(rows, p: int) -> int:
+    """Rank mod p by Gaussian elimination on Python integers, which never wrap."""
+    m = [[int(x) % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def naive_conjugacy_classes(table) -> list[frozenset]:
     table = [list(r) for r in table]
     n = len(table)
@@ -162,3 +181,24 @@ def naive_center_annihilator(alg, vectors_fg) -> list[np.ndarray]:
         if all((elem * alg.element(w)).is_zero() for w in vectors_fg):
             out.append(np.array(v, dtype=np.int64))
     return out
+
+
+def naive_frobenius_power(alg) -> np.ndarray:
+    """Matrix of x -> x^(p^m) on the center, p^m >= its dimension, with each
+    column e_i^p built by p - 1 multiplications by the class sum e_i; its
+    kernel is the radical of the center."""
+    k, p = alg.center_dim, alg.p
+    a = alg.class_structure_constants
+    frob = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        v = np.zeros(k, dtype=np.int64)
+        v[i] = 1
+        for _ in range(p - 1):
+            v = a[i].T @ v % p
+        frob[:, i] = v
+    power = np.eye(k, dtype=np.int64)
+    q = 1
+    while q < k:
+        q *= p
+        power = power @ frob % p
+    return power

@@ -17,8 +17,13 @@ from modsocle.constructors import (
     quaternion8,
     smallgroup_216_86,
 )
-from modsocle.errors import DimensionMismatchError, HypothesisViolationError, NotNormalError
-from modsocle.fplin import FpSubspace
+from modsocle.errors import (
+    DimensionMismatchError,
+    HypothesisViolationError,
+    ModulusTooLargeError,
+    NotNormalError,
+)
+from modsocle.fplin import FpSubspace, nullspace
 from modsocle.groups import (
     center,
     centralizer,
@@ -30,7 +35,7 @@ from modsocle.groups import (
     sylow_subgroup,
 )
 
-from .oracles import naive_center_annihilator, naive_commutator_rows
+from .oracles import naive_center_annihilator, naive_commutator_rows, naive_frobenius_power
 
 
 def s3():
@@ -64,6 +69,7 @@ def test_scalar_multiplication_and_mismatch():
     alg = GroupAlgebra(cyclic(3), 5)
     a = alg.subset_sum([0, 1])
     assert (3 * a).coeffs.tolist() == [3, 3, 0]
+    assert 2 ** 70 * a == a * 2 ** 70 == (2 ** 70 % 5) * a
     other = GroupAlgebra(cyclic(4), 5)
     with pytest.raises(DimensionMismatchError):
         a * other.one()
@@ -217,6 +223,23 @@ def test_inflation_detects_derived_coset_membership():
 def test_jacobson_center_semisimple_is_zero():
     assert GroupAlgebra(cyclic(5), 2).jacobson_center.dim == 0
     assert GroupAlgebra(s3(), 5).jacobson_center.dim == 0
+
+
+def test_jacobson_center_matches_naive_frobenius_power():
+    # the bits of 2, 3, 5, 7, 11, 13 after the leading one: 0, 1, 01, 11, 011, 101
+    for _, g in builtin_catalog():
+        for p in (2, 3, 5, 7, 11, 13):
+            alg = GroupAlgebra(g, p)
+            naive = nullspace(naive_frobenius_power(alg), p, cols=alg.center_dim)
+            assert alg.jacobson_center == naive, (g.name, p)
+
+
+def test_group_algebra_enforces_the_int64_bound():
+    # (p-1)^2 * 512 < 2^63 exactly when p - 1 < 2^27
+    d512 = dihedral_group(512)
+    assert GroupAlgebra(d512, 134217689).p == 134217689
+    with pytest.raises(ModulusTooLargeError):
+        GroupAlgebra(d512, 134217757)
 
 
 def test_jacobson_center_c2():

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modsocle.cli import (
@@ -80,6 +81,31 @@ def test_analyze_semisimple_cyclic5(capsys):
     assert doc["verdicts"]["semisimple"] is True
     assert doc["dimensions"]["socle_center"] == doc["dimensions"]["center"] == 5
     assert doc["verdicts"]["socle_ideal"] is True  # abelian
+
+
+@pytest.mark.parametrize("spec, prime", [("dihedral:16", "1000003"), ("quaternion:16", "1000003"),
+                                         ("name:S4", "1000003"), ("name:E27", "1000003"),
+                                         ("dihedral:16", "759250111")])
+def test_analyze_at_a_large_prime_is_semisimple(capsys, spec, prime):
+    """The prime divides no order here: the radical of the center is 0, the
+    socle, Reynolds ideal and center all have the class count as dimension
+    (Burnside: commuting pairs over |G|), and both verdicts say whether G is
+    abelian. 759250111 is the largest prime with (p-1)^2 * 16 < 2^63."""
+    code, out, _ = run_cli(capsys, "analyze", spec, "--prime", prime)
+    assert code == 0
+    table = np.asarray(group_from_spec(spec).table)
+    classes = int(np.count_nonzero(table == table.T)) // len(table)
+    abelian = bool(np.array_equal(table, table.T))
+    doc = parse_report(out)
+    dims, verdicts = doc["dimensions"], doc["verdicts"]
+    assert dims["jacobson_center"] == 0
+    assert dims["socle_center"] == dims["reynolds"] == dims["center"] == classes
+    assert verdicts["socle_ideal"] is abelian and verdicts["reynolds_ideal"] is abelian
+
+
+def test_analyze_above_the_int64_bound_of_the_group_exits_1(capsys):
+    code, out, err = run_cli(capsys, "analyze", "dihedral:16", "--prime", "759250133")
+    assert code == 1 and out == "" and "too large" in err
 
 
 def test_analyze_markdown(capsys):
@@ -192,6 +218,14 @@ def test_non_prime_is_a_usage_error(capsys, command, prime):
         main([*command, "--prime", prime])
     assert exc.value.code == 2
     assert "--prime" in capsys.readouterr().err
+
+
+def test_prime_too_large_for_int64_is_a_usage_error(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would not return
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "cyclic:2", "--prime", "2305843009213693951"])
+    assert exc.value.code == 2
+    assert "--prime" in (err := capsys.readouterr().err) and "too large" in err
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"

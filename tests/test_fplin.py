@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modsocle import fplin
-from modsocle.errors import DimensionMismatchError
+from modsocle.errors import DimensionMismatchError, ModulusTooLargeError
 from modsocle.fplin import FpSubspace, common_nullspace, nullspace, rank, rref
 
-from .oracles import brute_nullspace_vectors, brute_rank, enumerate_closure, enumerate_span
+from .oracles import (
+    brute_nullspace_vectors,
+    brute_rank,
+    enumerate_closure,
+    enumerate_span,
+    exact_rank,
+)
 
 
 def test_validate_prime():
@@ -17,6 +23,38 @@ def test_validate_prime():
     for bad in (-1, 0, 1, 4, 9, 91):
         with pytest.raises(ValueError):
             fplin.validate_prime(bad)
+    # the largest prime with (p-1)^2 < 2^63, and the next prime
+    assert fplin.validate_prime(3037000493) == 3037000493
+    for big in (3037000507, 2 ** 61 - 1):
+        with pytest.raises(ModulusTooLargeError):
+            fplin.validate_prime(big)
+
+
+def _five_dim_span_and_members(p, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, p, size=(5, 200))
+    members = [[sum(int(c) * int(x) for c, x in zip(coeffs, col)) % p for col in rows.T]
+               for coeffs in rng.integers(0, p, size=(20, 5))]
+    return rows, members
+
+
+def test_contains_above_the_int64_bound_raises():
+    # at the parent these spans said False for true members (int64 wrap)
+    for p in (2 ** 31 - 1, 4294967311):
+        rows, members = _five_dim_span_and_members(p, 0)
+        with pytest.raises(ModulusTooLargeError):
+            FpSubspace.span(rows, p, 200).contains(members[0])
+
+
+def test_contains_is_exact_at_the_largest_accepted_prime():
+    p = 214748357  # the largest prime with (p-1)^2 * 200 < 2^63
+    rows, members = _five_dim_span_and_members(p, 1)
+    space = FpSubspace.span(rows, p, 200)
+    assert space.dim == exact_rank(rows, p) == 5
+    assert all(space.contains(v) for v in members)
+    outside = np.array(members[0])
+    outside[space.pivots[0]] += 1
+    assert not space.contains(outside)
 
 
 def test_rref_identity_and_zero():
@@ -160,3 +198,23 @@ def test_join_contains_both_bases(case_a, case_b):
     for row in b.basis:
         assert joined.contains(row)
     assert a.is_subspace_of(joined) and b.is_subspace_of(joined)
+
+
+# 1518500213 is the largest prime with (p-1)^2 * 4 < 2^63
+large_prime_matrices = st.tuples(
+    st.just(1518500213),
+    st.lists(st.lists(st.integers(0, 1518500212), min_size=4, max_size=4),
+             min_size=1, max_size=3),
+    st.lists(st.integers(0, 1518500212), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_prime_matrices)
+def test_rank_and_contains_exact_at_the_largest_accepted_prime(case):
+    p, rows, coeffs = case
+    combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(4)]
+    m = np.array(rows + [combo], dtype=np.int64)
+    assert rank(m, p) == exact_rank(rows, p)
+    assert rank(m, p) + nullspace(m, p).dim == 4
+    assert FpSubspace.span(np.array(rows, dtype=np.int64), p, 4).contains(combo)
