@@ -7,8 +7,8 @@ by two independent routes when the latter two are two-sided ideals of F_pG.
 
 __version__ = "0.1.0"
 
-from .algebra import AlgebraElement, CentralElement, GroupAlgebra
-from .catalog import builtin_catalog, builtin_p_groups, builtin_two_groups, load_catalog_dir
+from .algebra import AlgebraElement, GroupAlgebra
+from .catalog import builtin_catalog, builtin_two_groups, load_catalog_dir
 from .constructors import (
     abelian,
     central_product,
@@ -32,7 +32,6 @@ from .groups import (
     center,
     centralizer,
     derived_subgroup,
-    find_isomorphism,
     frattini_subgroup,
     generate_subgroup,
     hall_complement,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Optional
 
 import numpy as np
@@ -21,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     DualRouteDisagreementError,
     HypothesisViolationError,
-    NotNormalError,
 )
 from .fplin import FpSubspace
 from .groups import (
@@ -31,6 +31,7 @@ from .groups import (
     derived_subgroup,
     generate_subgroup,
     hall_complement,
+    is_p_group,
     nilpotency_class,
     p_decomposition,
     pprime_core,
@@ -71,8 +72,8 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.coeffs * (int(scalar) % self.algebra.p))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return AlgebraElement(self.algebra, self.coeffs * (other % self.algebra.p))
+        if isinstance(other, Integral):
+            return AlgebraElement(self.algebra, self.coeffs * (int(other) % self.algebra.p))
         self._check(other)
         alg = self.algebra
         table = alg.group.table
@@ -97,29 +98,10 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    def identity_coefficient(self) -> int:
-        """The symmetrizing linear form: the coefficient of the identity."""
-        return int(self.coeffs[self.algebra.group.identity])
-
     def is_central(self) -> bool:
         cls = self.algebra.group.conjugacy_classes
         reps = np.array(cls.representatives, dtype=np.int64)
         return bool(np.array_equal(self.coeffs, self.coeffs[reps[cls.class_of]]))
-
-    def central_coords(self) -> np.ndarray:
-        if not self.is_central():
-            raise DimensionMismatchError("element is not central")
-        cls = self.algebra.group.conjugacy_classes
-        return self.coeffs[np.array(cls.representatives, dtype=np.int64)].copy()
-
-
-class CentralElement(AlgebraElement):
-    """Algebra element whose coefficients are constant on conjugacy classes."""
-
-    def __init__(self, algebra: "GroupAlgebra", coeffs):
-        super().__init__(algebra, coeffs)
-        if not self.is_central():
-            raise DimensionMismatchError("coefficients are not class-constant")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,21 +146,13 @@ class ClassSelection:
     projection: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientAnnihilatorResult:
-    """Common annihilator downstairs of the surviving radical images."""
-
-    space: FpSubspace
-    quotient_algebra: "GroupAlgebra"
-    contained_in_derived_sum: Optional[bool]
-
-
 class GroupAlgebra:
     """F_pG for a finite group G and a prime p.
 
-    The radical, socle and Reynolds ideal of the center and the socle verdict
-    are cached properties, so each is computed once per algebra. An algebra
-    is not cached anywhere else: it lives as long as the call that made it.
+    The radical, socle and Reynolds ideal of the center and the socle and
+    Reynolds verdicts are cached properties, so each is computed once per
+    algebra. An algebra is not cached anywhere else: it lives as long as the
+    call that made it.
 
     Products in F_pG and in the center sum at most |G| products of residues,
     so `p` must satisfy (p-1)^2 * |G| < 2^63 (`fplin.check_modulus`).
@@ -227,15 +201,6 @@ class GroupAlgebra:
             c[int(m)] += 1
         return AlgebraElement(self, c)
 
-    def center_basis(self) -> list[CentralElement]:
-        """The class sums, in class order."""
-        out = []
-        for cls in self.classes.classes:
-            c = np.zeros(self.dim, dtype=np.int64)
-            c[list(cls)] = 1
-            out.append(CentralElement(self, c))
-        return out
-
     # -- class coordinates --------------------------------------------------
 
     @cached_property
@@ -260,23 +225,10 @@ class GroupAlgebra:
         v = np.asarray(vec, dtype=np.int64) % self.p
         return np.einsum("i,ijl->lj", v, self.class_structure_constants) % self.p
 
-    def central_multiply(self, u, v) -> np.ndarray:
-        return self.central_mult_matrix(u) @ (np.asarray(v, dtype=np.int64) % self.p) % self.p
-
     def expand_central(self, vec) -> np.ndarray:
         """Class coordinates -> F_pG coefficient vector."""
         v = np.asarray(vec, dtype=np.int64) % self.p
         return v[self.classes.class_of]
-
-    def restrict_central(self, coeffs) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=np.int64) % self.p
-        reps = np.array(self.classes.representatives, dtype=np.int64)
-        if not np.array_equal(c, c[reps[self.classes.class_of]]):
-            raise DimensionMismatchError("coefficients are not class-constant")
-        return c[reps]
-
-    def central_element(self, vec) -> CentralElement:
-        return CentralElement(self, self.expand_central(vec))
 
     # -- radical, socle, Reynolds ideal ------------------------------------
 
@@ -403,6 +355,12 @@ class GroupAlgebra:
         return FpSubspace.span(np.array(rows, dtype=np.int64) if rows else
                                np.zeros((0, self.dim), dtype=np.int64), self.p, self.dim)
 
+    @cached_property
+    def reynolds_is_ideal(self) -> bool:
+        """Is the Reynolds ideal an ideal of F_pG? Route 1 only: the
+        criterion G' <= O_p(G) is the second route, checked in `verify`."""
+        return self.is_ideal(self.reynolds_space_fg)
+
     # -- F_pG-coordinate subspaces ------------------------------------------
 
     def embed_central(self, space: FpSubspace) -> FpSubspace:
@@ -412,9 +370,6 @@ class GroupAlgebra:
         if rows.size == 0:
             rows = np.zeros((0, self.dim), dtype=np.int64)
         return FpSubspace.span(rows, self.p, self.dim)
-
-    def center_space_fg(self) -> FpSubspace:
-        return self.embed_central(FpSubspace.full(self.p, self.center_dim))
 
     def subgroup_sum_ideal(self, sub: Subgroup | Iterable[int]) -> FpSubspace:
         """S+ . F_pG: the span of the right-coset indicator vectors of S."""
@@ -427,36 +382,6 @@ class GroupAlgebra:
             rows[r, coset_rep == rep] = 1
         return FpSubspace.from_rref(rows, [int(r) for r in reps], self.p, self.dim)
 
-    def relative_augmentation_ideal(self, n_sub: Subgroup) -> FpSubspace:
-        """Kernel of the projection onto F_p[G/N]; equals w(FN) . F_pG."""
-        if not n_sub.is_normal:
-            raise NotNormalError(f"{n_sub!r} is not normal")
-        arr = np.array(n_sub.sorted_members, dtype=np.int64)
-        coset_rep = self.group.table[arr, :].min(axis=0)
-        reps = np.unique(coset_rep)
-        constraints = np.zeros((reps.size, self.dim), dtype=np.int64)
-        for r, rep in enumerate(reps):
-            constraints[r, coset_rep == rep] = 1
-        return fplin.nullspace(constraints, self.p, cols=self.dim)
-
-    def commutator_space(self) -> FpSubspace:
-        """Span of the products ab - ba over F_pG.
-
-        Differences within one conjugacy class span the same space, which
-        gives a basis of size |G| - (number of classes) directly.
-        """
-        rows = []
-        for members in self.classes.classes:
-            rep = members[0]
-            for x in members[1:]:
-                row = np.zeros(self.dim, dtype=np.int64)
-                row[x] = 1
-                row[rep] -= 1
-                rows.append(row)
-        if not rows:
-            return FpSubspace.zero(self.p, self.dim)
-        return FpSubspace.span(np.array(rows, dtype=np.int64), self.p, self.dim)
-
     def _left_translate(self, rows: np.ndarray, g: int) -> np.ndarray:
         perm = self.group.table[self.group.inv(g), :]
         return rows[:, perm]
@@ -464,19 +389,6 @@ class GroupAlgebra:
     def _right_translate(self, rows: np.ndarray, g: int) -> np.ndarray:
         perm = self.group.table[:, self.group.inv(g)]
         return rows[:, perm]
-
-    def left_ideal_closure(self, space: FpSubspace) -> FpSubspace:
-        """Smallest left ideal of F_pG containing the given subspace: joined
-        with its left translates by each generator until it stops growing."""
-        closed = space
-        while True:
-            grown = closed
-            for g in self.group.generators:
-                translates = self._left_translate(grown.basis, g)
-                grown = grown.join(FpSubspace.span(translates, self.p, self.dim))
-            if grown.dim == closed.dim:
-                return closed
-            closed = grown
 
     def is_ideal(self, space: FpSubspace) -> bool:
         """Closure of the subspace under both translations by the generators.
@@ -505,21 +417,6 @@ class GroupAlgebra:
             q, proj = quotient(self.group, n_sub)
             self._quotient_cache[key] = (GroupAlgebra(q, self.p), proj)
         return self._quotient_cache[key]
-
-    def push_to_quotient(self, a: AlgebraElement, n_sub: Subgroup) -> AlgebraElement:
-        """Sum coefficients over the cosets of a normal subgroup."""
-        qalg, proj = self.quotient_algebra(n_sub)
-        out = np.zeros(qalg.dim, dtype=np.int64)
-        np.add.at(out, proj, a.coeffs)
-        return AlgebraElement(qalg, out)
-
-    def inflate_from_quotient(self, a: AlgebraElement, n_sub: Subgroup) -> AlgebraElement:
-        """Adjoint of the projection: constant-on-coset inflation; its image
-        is N+ . F_pG."""
-        qalg, proj = self.quotient_algebra(n_sub)
-        if a.algebra.group is not qalg.group:
-            raise DimensionMismatchError("element does not live in the quotient algebra")
-        return AlgebraElement(self, a.coeffs[proj])
 
     # -- the two-route verdicts ----------------------------------------------
 
@@ -600,40 +497,6 @@ class GroupAlgebra:
             projection=proj,
         )
 
-    def quotient_annihilator(self, n_sub: Subgroup) -> QuotientAnnihilatorResult:
-        """Common annihilator downstairs of the projected radical.
-
-        Computed twice: from the surviving basis elements downstairs, and
-        from the raw projections of every radical basis element. When the
-        socle upstairs is an ideal, the annihilator must land inside the
-        coset-sum space of the derived subgroup downstairs.
-        """
-        selection = self.class_selection(n_sub)
-        qalg = selection.quotient_algebra
-        maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
-        route1 = fplin.common_nullspace(maps, self.p, qalg.center_dim)
-        raw_maps = []
-        for i, vec in sorted(self.jacobson_center_basis.items()):
-            pushed = np.zeros(qalg.dim, dtype=np.int64)
-            np.add.at(pushed, selection.projection, self.expand_central(vec))
-            pushed %= self.p
-            if pushed.any():
-                raw_maps.append(qalg.central_mult_matrix(qalg.restrict_central(pushed)))
-        route2 = fplin.common_nullspace(raw_maps, self.p, qalg.center_dim)
-        if route1 != route2:
-            raise DualRouteDisagreementError(
-                f"quotient annihilator routes disagree for {self.group.name}")
-        contained: Optional[bool] = None
-        if self.soc_is_ideal.is_ideal:
-            target = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
-            contained = qalg.embed_central(route1).is_subspace_of(target)
-            if not contained:
-                raise DualRouteDisagreementError(
-                    f"quotient annihilator of {self.group.name} escapes the "
-                    "derived coset-sum space although the socle is an ideal")
-        return QuotientAnnihilatorResult(
-            space=route1, quotient_algebra=qalg, contained_in_derived_sum=contained)
-
     def derived_annihilating_witness(self) -> AlgebraElement:
         """Central element y with y . S+ = 0 for every nontrivial subgroup S
         of the derived subgroup, and y outside (G')+ . F_pG.
@@ -647,10 +510,7 @@ class GroupAlgebra:
         p = self.p
         if p == 2:
             raise HypothesisViolationError("the witness construction needs odd p")
-        order = g.order
-        while order % p == 0:
-            order //= p
-        if order != 1:
+        if not is_p_group(g.order, p):
             raise HypothesisViolationError("the witness construction needs a p-group")
         if nilpotency_class(g) != 2:
             raise HypothesisViolationError("nilpotency class must be exactly two")

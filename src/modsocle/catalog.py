@@ -33,7 +33,7 @@ from .constructors import (
     smallgroup_216_86,
 )
 from .errors import ParseError
-from .groups import FiniteGroup, center
+from .groups import FiniteGroup, center, is_p_group
 
 
 def klein_rotation_action(v4: FiniteGroup, c3: FiniteGroup) -> np.ndarray:
@@ -127,25 +127,9 @@ def builtin_catalog() -> tuple[tuple[str, FiniteGroup], ...]:
 
 
 def builtin_two_groups(max_order: int | None = None) -> tuple[tuple[str, FiniteGroup], ...]:
-    out = []
-    for name, g in builtin_catalog():
-        n = g.order
-        while n % 2 == 0:
-            n //= 2
-        if n == 1 and (max_order is None or g.order <= max_order):
-            out.append((name, g))
-    return tuple(out)
-
-
-def builtin_p_groups(p: int, max_order: int | None = None) -> tuple[tuple[str, FiniteGroup], ...]:
-    out = []
-    for name, g in builtin_catalog():
-        n = g.order
-        while n % p == 0:
-            n //= p
-        if n == 1 and g.order > 1 and (max_order is None or g.order <= max_order):
-            out.append((name, g))
-    return tuple(out)
+    """The builtin 2-groups (the trivial group included), up to `max_order`."""
+    return tuple((name, g) for name, g in builtin_catalog()
+                 if is_p_group(g.order, 2) and (max_order is None or g.order <= max_order))
 
 
 @dataclass(frozen=True)

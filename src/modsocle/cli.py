@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .algebra import GroupAlgebra
 from .catalog import CatalogData, builtin_catalog, load_catalog_dir
@@ -26,6 +24,7 @@ from .constructors import (
     family,
     heisenberg,
     holomorph_cyclic,
+    int_matrix,
     parse_group,
     semidirect,
     smallgroup_216_86,
@@ -34,7 +33,6 @@ from .errors import (
     CensusMismatchError,
     ModsocleError,
     ModulusTooLargeError,
-    NotNilpotentError,
     ParseError,
 )
 from .fplin import validate_prime
@@ -43,8 +41,7 @@ from .groups import (
     center,
     derived_subgroup,
     frattini_subgroup,
-    generate_subgroup,
-    nilpotency_class,
+    is_p_group,
     normal_subgroups,
     p_core,
     p_residual,
@@ -53,7 +50,7 @@ from .groups import (
     two_element_class_subgroup,
 )
 from .verify import (
-    _is_p_group,
+    nilpotency_class_or_none,
     run_census,
     verify_central_decomposition,
     verify_isoclinism_pair,
@@ -61,6 +58,7 @@ from .verify import (
     verify_quotient_and_product_closure,
     verify_reynolds_criterion,
     verify_sufficient_conditions,
+    y_criterion,
 )
 
 SUITES = ("all", "A", "B", "C", "D", "isoclinism")
@@ -71,18 +69,21 @@ def dumps_canonical(document: dict, indent: int | None = 2) -> str:
     return json.dumps(document, sort_keys=True, indent=indent)
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def group_from_spec(spec: str) -> FiniteGroup:
     """Compact group spec grammar for scriptable runs.
 
     Forms: cyclic:N, abelian:2x4, dihedral:N, semidihedral:N, quaternion:N,
     extraspecial:27, heisenberg:P, holomorph:N (alias holomorph-c8),
     smallgroup:216-86, name:<builtin name>, file:PATH, semidirect:@PATH.
+    A constructor's `ValueError` (such as cyclic:0) becomes a `ParseError`.
     """
-    spec = spec.strip()
+    try:
+        return _build_group(spec.strip())
+    except ValueError as exc:
+        raise ParseError(f"bad group spec {spec!r}: {exc}") from exc
+
+
+def _build_group(spec: str) -> FiniteGroup:
     if spec == "holomorph-c8":
         return holomorph_cyclic(8)
     if spec in ("smallgroup-216-86", "smallgroup:216-86", "smallgroup:216,86"):
@@ -164,50 +165,41 @@ def _semidirect_from_file(path: Path) -> FiniteGroup:
         else parse_group(doc.get("normal"))
     complement = group_from_spec(doc["complement"]) if isinstance(doc.get("complement"), str) \
         else parse_group(doc.get("complement"))
-    action = doc.get("action")
-    if not isinstance(action, list):
-        raise ParseError("semidirect descriptor needs an 'action' table")
-    return semidirect(normal, complement, np.array(action, dtype=np.int64),
+    action = int_matrix(doc.get("action"), "semidirect action")
+    return semidirect(normal, complement, action,
                       name=doc.get("name", f"{normal.name}x|{complement.name}"))
 
 
 def analysis_document(group: FiniteGroup, p: int) -> dict:
     alg = GroupAlgebra(group, p)
     soc = alg.soc_is_ideal
-    reynolds = alg.reynolds_space_fg
     der = derived_subgroup(group)
     core = p_core(group, p)
-    y_sub = two_element_class_subgroup(group)
-    z_sub = center(group)
-    try:
-        nclass = nilpotency_class(group)
-    except NotNilpotentError:
-        nclass = None
-    yz = generate_subgroup(group, y_sub.members | z_sub.members)
+    nclass = nilpotency_class_or_none(group)
     return {
         "schema": "modsocle.analysis/1",
         "tool_version": __version__,
         "prime": p,
         "group": {"name": group.name, "order": group.order, "hash": group.hash_digest()},
         "orders": {
-            "center": z_sub.order,
+            "center": center(group).order,
             "derived": der.order,
             "frattini": frattini_subgroup(group).order,
             "p_core": core.order,
             "pprime_core": pprime_core(group, p).order,
             "p_residual": p_residual(group, p).order,
-            "two_element_class_subgroup": y_sub.order,
+            "two_element_class_subgroup": two_element_class_subgroup(group).order,
         },
         "dimensions": {
             "center": soc.center_dim,
             "jacobson_center": soc.jacobson_dim,
             "socle_center": soc.socle_dim,
-            "reynolds": reynolds.dim,
+            "reynolds": alg.reynolds_space_fg.dim,
             "derived_coset_space": soc.derived_sum_space.dim,
         },
         "verdicts": {
             "socle_ideal": soc.is_ideal,
-            "reynolds_ideal": alg.is_ideal(reynolds),
+            "reynolds_ideal": alg.reynolds_is_ideal,
             "semisimple": group.order % p != 0,
         },
         "criteria": {
@@ -215,7 +207,7 @@ def analysis_document(group: FiniteGroup, p: int) -> dict:
             "nilpotency_class": nclass,
             "class_at_most_two": nclass is not None and nclass <= 2,
             "derived_in_p_core": der.members <= core.members,
-            "two_element_class_criterion": der.members <= yz.members,
+            "two_element_class_criterion": y_criterion(group),
         },
     }
 
@@ -252,7 +244,7 @@ def _catalog_entries(catalog_dir: str | None) -> tuple[CatalogData | None, list]
 def _suite_reports(suite: str, entries, p: int):
     def p_groups():
         for name, g in entries:
-            if g.order > 1 and _is_p_group(g, p):
+            if g.order > 1 and is_p_group(g.order, p):
                 yield name, g
 
     if suite in ("A", "all"):

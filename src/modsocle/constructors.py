@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (
     InvalidActionError,
-    NotAGroupError,
     NotCentralError,
     OrderTooSmallError,
     ParseError,
@@ -20,9 +19,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    Subgroup,
     center,
-    centralizer,
     derived_subgroup,
     generate_subgroup,
     make_group,
@@ -108,14 +105,6 @@ def family(kind: str, order: int) -> FiniteGroup:
             raise OrderTooSmallError(f"generalized quaternion family starts at order 16, got {order}")
         return _two_generator_presentation(m, -1 % m, m // 2, f"Q{order}")
     raise ValueError(f"unknown family kind {kind!r}")
-
-
-def semidihedral(order: int) -> FiniteGroup:
-    return family("semidihedral", order)
-
-
-def generalized_quaternion(order: int) -> FiniteGroup:
-    return family("quaternion", order)
 
 
 def quaternion8(name: str = "Q8") -> FiniteGroup:
@@ -430,6 +419,21 @@ def from_permutations(generators: Sequence[Sequence[int]], name: str = "G",
     return make_group(_table_from_mul(elements, mul), name)
 
 
+def int_matrix(rows, what: str) -> np.ndarray:
+    """`rows`, a list of lists of integers, as a 2-D int64 array.
+
+    Input arrives as JSON, so bools, floats and strings are refused rather
+    than coerced, and so are ragged rows: each raises `ParseError`.
+    """
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and all(isinstance(x, int) and not isinstance(x, bool) for r in rows for x in r)):
+        raise ParseError(f"{what} must be a list of lists of integers")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} is not a rectangular int64 matrix: {exc}") from exc
+
+
 def parse_group(document) -> FiniteGroup:
     """Build a validated group from a Cayley-table or permutation document.
 
@@ -448,33 +452,19 @@ def parse_group(document) -> FiniteGroup:
     if not isinstance(name, str):
         raise ParseError("group name must be a string")
     if fmt == "cayley":
-        table = document.get("table")
         order = document.get("order")
-        if not isinstance(table, list):
-            raise ParseError("cayley document needs a 'table' list")
-        try:
-            arr = np.array(table, dtype=np.int64)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"table is not rectangular integer data: {exc}") from exc
+        arr = int_matrix(document.get("table"), "cayley table")
         if order is not None and (arr.ndim != 2 or arr.shape != (order, order)):
             raise ParseError(f"table shape {arr.shape} does not match order {order}")
         return make_group(arr, name)
     if fmt == "perm":
         gens = document.get("generators")
         degree = document.get("degree")
-        if not isinstance(gens, list) or not gens:
+        if not gens:
             raise ParseError("perm document needs a nonempty 'generators' list")
+        int_matrix(gens, "perm generators")
         if degree is not None and any(len(p) != degree for p in gens):
             raise ParseError("generator length does not match degree")
         return from_permutations(gens, name)
     raise ParseError(f"unknown group format {fmt!r}")
 
-
-def group_to_document(group: FiniteGroup) -> dict:
-    """Serialize a group in the Cayley file schema (round-trips via parse_group)."""
-    return {
-        "format": "cayley",
-        "name": group.name,
-        "order": group.order,
-        "table": group.table.tolist(),
-    }

@@ -173,21 +173,6 @@ class FpSubspace:
         self._check_compatible(other)
         return other.contains(self.basis)
 
-    def join(self, other: "FpSubspace") -> "FpSubspace":
-        self._check_compatible(other)
-        stacked = np.vstack([self.basis, other.basis])
-        return FpSubspace.span(stacked, self.p, self.ambient)
-
-    def constraints(self) -> Array:
-        """Matrix C with row space = {c : B c = 0}; the subspace is {x : C x = 0}."""
-        return nullspace(self.basis if self.dim else np.zeros((0, self.ambient), dtype=np.int64),
-                         self.p, cols=self.ambient).basis
-
-    def meet(self, other: "FpSubspace") -> "FpSubspace":
-        self._check_compatible(other)
-        stacked = np.vstack([self.constraints(), other.constraints()])
-        return nullspace(stacked, self.p, cols=self.ambient)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):
             return NotImplemented

@@ -18,7 +18,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import (
-    HypothesisViolationError,
     NoComplementError,
     NotAGroupError,
     NotNilpotentError,
@@ -87,7 +86,7 @@ class FiniteGroup:
         self.inverse = inverse
         self.element_orders = element_orders
         self.generators = generators
-        self._facts: dict[tuple, "Subgroup"] = {}
+        self._facts: dict[tuple, object] = {}
         for arr in (self.table, self.inverse, self.element_orders):
             arr.flags.writeable = False
 
@@ -100,9 +99,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -207,9 +203,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, x: int) -> bool:
-        return int(x) in self.members
-
     def __contains__(self, x) -> bool:
         return int(x) in self.members
 
@@ -237,18 +230,6 @@ class Subgroup:
             if set(int(v) for v in conj) != target:
                 return False
         return True
-
-    def is_p_group(self, p: int) -> bool:
-        o = self.order
-        while o % p == 0:
-            o //= p
-        return o == 1
-
-    def is_pprime_group(self, p: int) -> bool:
-        return self.order % p != 0
-
-    def index(self) -> int:
-        return self.parent.order // self.order
 
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Reindex the subgroup as a standalone group.
@@ -395,15 +376,6 @@ def generate_subgroup(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return group.subgroup(members)
 
 
-def normal_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Least normal subgroup containing `seed`.
-
-    Grown from the closure of `seed` by conjugating each of its generators
-    by the generators of the group; see :func:`_normal_closure`.
-    """
-    return group.subgroup(_normal_closure(group, frozenset({group.identity}), seed))
-
-
 def _normal_closure(group: FiniteGroup, base: frozenset[int],
                     seed: Iterable[int]) -> frozenset[int]:
     """Least normal subgroup containing the normal subgroup `base` and `seed`.
@@ -469,13 +441,13 @@ def commutator_subgroup(group: FiniteGroup, a: Subgroup | Iterable[int],
 def _memoized(fn):
     """Keep `fn(group, *args)` on the group, computed once per argument tuple.
 
-    Used for the subgroups that are deterministic functions of a group and
+    Used for the facts that are deterministic functions of a group and
     a prime (the characteristic subgroups, a Sylow subgroup, a Hall
-    complement), so every caller shares one result. A call that raises
-    stores nothing.
+    complement, the nilpotency class), so every caller shares one result.
+    A call that raises stores nothing.
     """
     @wraps(fn)
-    def memoized(group: FiniteGroup, *args) -> Subgroup:
+    def memoized(group: FiniteGroup, *args):
         key = (fn.__name__, *args)
         if key not in group._facts:
             group._facts[key] = fn(group, *args)
@@ -542,6 +514,11 @@ def _p_part(n: int, p: int) -> int:
     return pk
 
 
+def is_p_group(order: int, p: int) -> bool:
+    """Is `order` a power of `p` (1 included), i.e. is a group of that order a p-group?"""
+    return _p_part(order, p) == order
+
+
 @_memoized
 def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown by normalizer ascent.
@@ -557,7 +534,7 @@ def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
         nz = normalizer(group, current)
         candidate = min(
             x for x in nz.sorted_members
-            if x not in current.members and _p_part(group.element_order(x), p) == group.element_order(x)
+            if x not in current.members and is_p_group(group.element_order(x), p)
         )
         current = generate_subgroup(group, set(current.members) | {candidate})
     return current
@@ -626,47 +603,6 @@ def two_element_class_subgroup(group: FiniteGroup) -> Subgroup:
             f, g = cls
             seed.append(group.mul(g, group.inv(f)))
     return generate_subgroup(group, seed)
-
-
-def reduced_commutator_subgroup(group: FiniteGroup, n_sub: Subgroup, p: int) -> Subgroup:
-    """{x in [N, G] : x^p in [N, [N, G]]} for a normal p-subgroup N.
-
-    The element sum of this subgroup annihilates every class sum of a class
-    not contained in the centralizer of N.
-    """
-    if not n_sub.is_normal or not n_sub.is_p_group(p):
-        raise HypothesisViolationError("N must be a normal p-subgroup")
-    ng = commutator_subgroup(group, n_sub, group.full_subgroup)
-    nng = commutator_subgroup(group, n_sub, ng)
-    members = {x for x in ng.members if group.power(x, p) in nng.members}
-    try:
-        result = group.subgroup(members)
-    except NotAGroupError as exc:
-        raise HypothesisViolationError(f"reduced commutator set is not a subgroup: {exc}") from exc
-    if not result.is_normal:
-        raise HypothesisViolationError("reduced commutator subgroup failed to be normal")
-    return result
-
-
-def commutators_with(group: FiniteGroup, h: int, p: int) -> Subgroup:
-    """{[a, h] : a in G}, valid when [P, G] lies in the center of P.
-
-    The hypothesis makes the commutator map multiplicative in a, so the
-    image set is already a subgroup, and it is normal.
-    """
-    syl = sylow_subgroup(group, p)
-    pg = commutator_subgroup(group, syl, group.full_subgroup)
-    zp = centralizer(group, syl.sorted_members, within=syl)
-    if not pg.members <= zp.members:
-        raise HypothesisViolationError("[P, G] is not contained in Z(P)")
-    members = {group.commutator(a, h) for a in range(group.order)}
-    try:
-        result = group.subgroup(members)
-    except NotAGroupError as exc:
-        raise HypothesisViolationError(f"commutator image is not a subgroup: {exc}") from exc
-    if not result.is_normal:
-        raise HypothesisViolationError("commutator image failed to be normal")
-    return result
 
 
 @_memoized
@@ -760,7 +696,10 @@ def lower_central_series(group: FiniteGroup) -> list[Subgroup]:
         series.append(nxt)
 
 
+@_memoized
 def nilpotency_class(group: FiniteGroup) -> int:
+    """Length of the lower central series, computed once per group; raises
+    `NotNilpotentError` when the series stops above the trivial subgroup."""
     series = lower_central_series(group)
     if series[-1].order != 1:
         raise NotNilpotentError(

@@ -27,6 +27,7 @@ from .groups import (
     generate_subgroup,
     is_central_product,
     is_metabelian,
+    is_p_group,
     nilpotency_class,
     p_core,
     p_residual,
@@ -129,14 +130,8 @@ def _report(group: FiniteGroup, p: int, claims: Sequence[ClaimResult]) -> Verdic
                          claims=tuple(claims))
 
 
-def _is_p_group(group: FiniteGroup, p: int) -> bool:
-    n = group.order
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _nilpotency_class_or_none(group: FiniteGroup) -> Optional[int]:
+def nilpotency_class_or_none(group: FiniteGroup) -> Optional[int]:
+    """The nilpotency class of `group`, or None when it is not nilpotent."""
     try:
         return nilpotency_class(group)
     except NotNilpotentError:
@@ -147,7 +142,7 @@ def _subgroup_product(group: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     return generate_subgroup(group, a.members | b.members)
 
 
-def _y_criterion(group: FiniteGroup) -> bool:
+def y_criterion(group: FiniteGroup) -> bool:
     """G' contained in the product of the length-two-class subgroup and the center."""
     y = two_element_class_subgroup(group)
     z = center(group)
@@ -168,7 +163,7 @@ def verify_reynolds_criterion(group: FiniteGroup, p: int) -> VerdictReport:
 def _reynolds_claims(alg: GroupAlgebra) -> list[ClaimResult]:
     group, p = alg.group, alg.p
     reynolds = alg.reynolds_space_fg
-    direct = alg.is_ideal(reynolds)
+    direct = alg.reynolds_is_ideal
     core = p_core(group, p)
     criterion = derived_subgroup(group).members <= core.members
     claims = [_claim(
@@ -199,7 +194,7 @@ def verify_pgroup_classification(group: FiniteGroup, p: int) -> VerdictReport:
     most two, or p = 2 and G' lies in the length-two-class subgroup times the
     center. A witness element certifies failure for odd p in class three.
     """
-    if not _is_p_group(group, p):
+    if not is_p_group(group.order, p):
         raise HypothesisViolationError(f"{group.name} is not a {p}-group")
     return _report(group, p, _pgroup_claims(GroupAlgebra(group, p)))
 
@@ -208,7 +203,7 @@ def _pgroup_claims(alg: GroupAlgebra) -> list[ClaimResult]:
     group, p = alg.group, alg.p
     verdict = alg.soc_is_ideal
     cls = nilpotency_class(group)
-    criterion = cls <= 2 or (p == 2 and _y_criterion(group))
+    criterion = cls <= 2 or (p == 2 and y_criterion(group))
     claims = [_claim(
         "socle_ideal_iff_classification_criterion", verdict.is_ideal, criterion,
         dimensions={"socle": verdict.socle_dim, "jacobson": verdict.jacobson_dim,
@@ -232,7 +227,7 @@ def _witness_claim(alg: GroupAlgebra, verdict: SocIdealVerdict) -> ClaimResult:
     qalg = selection.quotient_algebra
     y = qalg.derived_annihilating_witness()
     kills_all = all(
-        (y * qalg.central_element(vec)).is_zero()
+        (y * qalg.element(qalg.expand_central(vec))).is_zero()
         for vec in selection.image_elements.values())
     escapes = not qalg.subgroup_sum_ideal(derived_subgroup(qalg.group)).contains(y.coeffs)
     certified_nonideal = kills_all and escapes
@@ -339,11 +334,9 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
     core = pprime_core(group, p)
     bar, _ = quotient(group, core)
     bar_verdict = GroupAlgebra(bar, p).soc_is_ideal.is_ideal
-    reynolds = alg.reynolds_space_fg
-    r_ideal = alg.is_ideal(reynolds)
     claims.append(_claim(
         "socle_ideal_iff_reynolds_ideal_and_mod_pprime_core",
-        base, r_ideal and bar_verdict,
+        base, alg.reynolds_is_ideal and bar_verdict,
         dimensions={"pprime_core_order": core.order}))
     if factors is not None:
         a, b = factors
@@ -374,7 +367,7 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
         alg = GroupAlgebra(g, p)
         verdict = alg.soc_is_ideal
         verdicts.append(verdict.is_ideal)
-        if _is_p_group(g, p):
+        if is_p_group(g.order, p):
             selection = alg.class_selection(center(g))
             qalg = selection.quotient_algebra
             maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
@@ -406,19 +399,19 @@ def census_record(name: str, group: FiniteGroup, p: int) -> dict:
     alg = GroupAlgebra(group, p)
     soc = alg.soc_is_ideal
     reynolds_claims = _reynolds_claims(alg)
-    is_p_group = _is_p_group(group, p)
+    p_group = is_p_group(group.order, p)
     return {
         "name": name,
         "order": group.order,
         "abelian": group.is_abelian,
-        "is_p_group": is_p_group,
-        "nilpotency_class": _nilpotency_class_or_none(group),
+        "is_p_group": p_group,
+        "nilpotency_class": nilpotency_class_or_none(group),
         "socle_ideal": soc.is_ideal,
         "socle_dim": soc.socle_dim,
-        "reynolds_ideal": bool(reynolds_claims[0].route_1),
-        "y_criterion": _y_criterion(group) if p == 2 else None,
+        "reynolds_ideal": alg.reynolds_is_ideal,
+        "y_criterion": y_criterion(group) if p == 2 else None,
         "routes_agree": all(c.agree for c in reynolds_claims) and (
-            not is_p_group or all(c.agree for c in _pgroup_claims(alg))),
+            not p_group or all(c.agree for c in _pgroup_claims(alg))),
     }
 
 

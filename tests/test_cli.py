@@ -12,10 +12,11 @@ from modsocle.cli import (
     dumps_canonical,
     group_from_spec,
     main,
-    parse_report,
 )
-from modsocle.constructors import group_to_document, dihedral_group
+from modsocle.constructors import dihedral_group
 from modsocle.errors import ParseError
+
+from .oracles import group_to_document
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +60,7 @@ def test_group_from_file_and_semidirect_spec(tmp_path):
 def test_analyze_dihedral_16(capsys):
     code, out, _ = run_cli(capsys, "analyze", "dihedral:16", "--prime", "2")
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["verdicts"]["socle_ideal"] is True
     assert doc["verdicts"]["reynolds_ideal"] is True
     assert doc["criteria"]["two_element_class_criterion"] is True
@@ -68,7 +69,7 @@ def test_analyze_dihedral_16(capsys):
 def test_analyze_holomorph(capsys):
     code, out, _ = run_cli(capsys, "analyze", "holomorph-c8", "--prime", "2")
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["dimensions"]["socle_center"] == 10
     assert doc["dimensions"]["jacobson_center"] == 10
     assert doc["verdicts"]["socle_ideal"] is False
@@ -77,7 +78,7 @@ def test_analyze_holomorph(capsys):
 def test_analyze_semisimple_cyclic5(capsys):
     code, out, _ = run_cli(capsys, "analyze", "cyclic:5", "--prime", "2")
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["verdicts"]["semisimple"] is True
     assert doc["dimensions"]["socle_center"] == doc["dimensions"]["center"] == 5
     assert doc["verdicts"]["socle_ideal"] is True  # abelian
@@ -96,7 +97,7 @@ def test_analyze_at_a_large_prime_is_semisimple(capsys, spec, prime):
     table = np.asarray(group_from_spec(spec).table)
     classes = int(np.count_nonzero(table == table.T)) // len(table)
     abelian = bool(np.array_equal(table, table.T))
-    doc = parse_report(out)
+    doc = json.loads(out)
     dims, verdicts = doc["dimensions"], doc["verdicts"]
     assert dims["jacobson_center"] == 0
     assert dims["socle_center"] == dims["reynolds"] == dims["center"] == classes
@@ -120,6 +121,25 @@ def test_analyze_bad_spec_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("spec, document", [
+    ("file", {"format": "cayley", "table": [[0, 1], [1, 0.9]]}),
+    ("file", {"format": "cayley", "table": [[False, True], [True, False]]}),
+    ("file", {"format": "cayley", "table": [["0", "1"], ["1", "0"]]}),
+    ("file", {"format": "perm", "generators": [[1, 0.0, 2]]}),
+    ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:2",
+                    "action": [["a", "b", "c"], [0, 2, 1]]}),
+    ("cyclic:0", None), ("dihedral:7", None), ("holomorph:1", None)])
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, spec, document):
+    """Only JSON integers are accepted, never coerced; a constructor's
+    ValueError is a parse error too, not a traceback."""
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        spec = f"file:{path}" if spec == "file" else f"semidirect:@{path}"
+    code, out, err = run_cli(capsys, "analyze", spec, "--prime", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_analyze_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "dihedral:16", "--prime", "2")
     _, out2, _ = run_cli(capsys, "analyze", "dihedral:16", "--prime", "2")
@@ -128,7 +148,7 @@ def test_analyze_deterministic_output(capsys):
 
 def test_report_round_trip():
     doc = analysis_document(dihedral_group(8), 2)
-    assert parse_report(dumps_canonical(doc)) == doc
+    assert json.loads(dumps_canonical(doc)) == doc
 
 
 def test_verify_suite_isoclinism(capsys):
@@ -167,7 +187,7 @@ def test_verify_corrupted_catalog_exit_2(tmp_path, capsys):
 def test_census_builtin(capsys):
     code, out, _ = run_cli(capsys, "census", "--prime", "2")
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["all_agree"] is True
     assert doc["group_count"] == 52
 
@@ -178,7 +198,7 @@ def test_census_catalog_dir(tmp_path, capsys):
         (tmp_path / f"{g.name}.json").write_text(json.dumps(group_to_document(g)))
     code, out, _ = run_cli(capsys, "census", "--prime", "2", "--catalog", str(tmp_path))
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["group_count"] == 2 and doc["counts"]["socle_ideal"] == 2
 
 
@@ -242,3 +262,12 @@ def test_verify_and_census_stdout_match_recorded_digests(capsys, monkeypatch, ar
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+@pytest.mark.parametrize("spec, p", [("holomorph:15", 2), ("dihedral:96", 3),
+                                     ("dihedral:16", 100003), ("quaternion:16", 100003),
+                                     ("name:S4", 100003), ("name:E27", 100003)])
+def test_analysis_document_matches_recorded_digests(spec, p):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["jobs"][f"analyze:{spec}:p{p}"]
+    text = dumps_canonical(analysis_document(group_from_spec(spec), p))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected

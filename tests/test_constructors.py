@@ -21,7 +21,6 @@ from modsocle.constructors import (
     extraspecial_27_exp3,
     family,
     from_permutations,
-    group_to_document,
     heisenberg,
     holomorph_cyclic,
     parse_group,
@@ -49,7 +48,7 @@ from modsocle.groups import (
     sylow_subgroup,
 )
 
-from .oracles import naive_closure
+from .oracles import group_to_document, naive_closure
 
 
 def test_abelian_cases():

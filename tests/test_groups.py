@@ -33,7 +33,6 @@ from modsocle.groups import (
     center,
     centralizer,
     commutator_subgroup,
-    commutators_with,
     derived_subgroup,
     find_isomorphism,
     frattini_subgroup,
@@ -52,17 +51,18 @@ from modsocle.groups import (
     pprime_core,
     pprime_sections,
     quotient,
-    reduced_commutator_subgroup,
     sylow_subgroup,
     two_element_class_subgroup,
 )
 
 from .oracles import (
+    commutators_with,
     naive_closure,
     naive_conjugacy_classes,
     naive_element_order,
     naive_lower_central_series,
     naive_pprime_part,
+    reduced_commutator_subgroup,
 )
 
 

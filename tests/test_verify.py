@@ -367,6 +367,23 @@ def test_census_record_builds_one_algebra_for_its_group(monkeypatch):
         assert sum(group is g for group, _ in made) == 1, name
 
 
+def test_census_record_computes_the_lower_central_series_once(monkeypatch):
+    # the row's class and its p-group claims share one memoized nilpotency class
+    from modsocle import groups
+
+    runs = []
+    series = groups.lower_central_series
+
+    def counted(group):
+        runs.append(group)
+        return series(group)
+
+    monkeypatch.setattr(groups, "lower_central_series", counted)
+    g = dihedral_group(16)
+    census_record("D16", g, 2)
+    assert runs == [g]
+
+
 def test_no_algebra_outlives_the_call_that_made_it(monkeypatch):
     # A report holding an algebra of order 512 alive while the next one runs
     # would add its class structure constants to the peak memory.
