@@ -351,9 +351,7 @@ class GroupAlgebra:
     @cached_property
     def reynolds_space_fg(self) -> FpSubspace:
         """The Reynolds ideal in F_pG coordinates."""
-        rows = [self.expand_central(v) for v in self.reynolds_center.basis]
-        return FpSubspace.span(np.array(rows, dtype=np.int64) if rows else
-                               np.zeros((0, self.dim), dtype=np.int64), self.p, self.dim)
+        return self.embed_central(self.reynolds_center)
 
     @cached_property
     def reynolds_is_ideal(self) -> bool:

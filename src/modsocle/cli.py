@@ -2,7 +2,7 @@
 theorem suites, and emit deterministic JSON reports.
 
 Exit codes: 0 success, 1 claim disagreement or census assertion failure,
-2 parse or I/O error.
+2 parse or I/O error, including an input group that cannot be built.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .errors import (
     CensusMismatchError,
     ModsocleError,
     ModulusTooLargeError,
+    NotAGroupError,
+    OrderTooSmallError,
     ParseError,
 )
 from .fplin import validate_prime
@@ -63,6 +65,9 @@ from .verify import (
 
 SUITES = ("all", "A", "B", "C", "D", "isoclinism")
 
+# Errors of building an input group that say the input is malformed.
+_BAD_INPUT = (ValueError, OrderTooSmallError, NotAGroupError)
+
 
 def dumps_canonical(document: dict, indent: int | None = 2) -> str:
     """Stable serialization: sorted keys, no timestamps, byte-reproducible."""
@@ -75,11 +80,13 @@ def group_from_spec(spec: str) -> FiniteGroup:
     Forms: cyclic:N, abelian:2x4, dihedral:N, semidihedral:N, quaternion:N,
     extraspecial:27, heisenberg:P, holomorph:N (alias holomorph-c8),
     smallgroup:216-86, name:<builtin name>, file:PATH, semidirect:@PATH.
-    A constructor's `ValueError` (such as cyclic:0) becomes a `ParseError`.
+    A constructor's `ValueError` (such as cyclic:0), `OrderTooSmallError`
+    (quaternion:8) or `NotAGroupError` (a file whose table is not a group)
+    becomes a `ParseError`.
     """
     try:
         return _build_group(spec.strip())
-    except ValueError as exc:
+    except _BAD_INPUT as exc:
         raise ParseError(f"bad group spec {spec!r}: {exc}") from exc
 
 
@@ -232,13 +239,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _catalog_entries(catalog_dir: str | None) -> tuple[CatalogData | None, list]:
+def _load_catalog(catalog_dir: str) -> CatalogData:
+    try:
+        return load_catalog_dir(catalog_dir)
+    except _BAD_INPUT as exc:
+        raise ParseError(f"bad catalog {catalog_dir}: {exc}") from exc
+
+
+def _catalog_entries(catalog_dir: str | None) -> list:
     entries = list(builtin_catalog())
-    data = None
     if catalog_dir:
-        data = load_catalog_dir(catalog_dir)
-        entries.extend(data.entries)
-    return data, entries
+        entries.extend(_load_catalog(catalog_dir).entries)
+    return entries
 
 
 def _suite_reports(suite: str, entries, p: int):
@@ -280,7 +292,7 @@ def _suite_reports(suite: str, entries, p: int):
 
 
 def cmd_verify(args) -> int:
-    _, entries = _catalog_entries(args.catalog)
+    entries = _catalog_entries(args.catalog)
     failures = 0
     for report in _suite_reports(args.suite, entries, args.prime):
         print(dumps_canonical(report.to_dict(), indent=None))
@@ -293,7 +305,7 @@ def cmd_verify(args) -> int:
 
 def cmd_census(args) -> int:
     if args.catalog:
-        data = load_catalog_dir(args.catalog)
+        data = _load_catalog(args.catalog)
         entries, catalog_id, tags = data.entries, data.catalog_id, data.tags
     else:
         entries, catalog_id, tags = builtin_catalog(), "builtin", ()

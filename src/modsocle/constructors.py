@@ -1,11 +1,14 @@
 """Constructors for the concrete groups exercised by the verifier and CLI.
 
 Every constructor returns a table validated by :func:`modsocle.groups.make_group`.
+Tables are built by whole-array indexing: a product rule is applied once to
+the coordinate arrays of all pairs of elements, never one cell at a time.
 """
 
 from __future__ import annotations
 
 import json
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +22,8 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _extend_generator_images,
+    _is_homomorphism,
     center,
     derived_subgroup,
     generate_subgroup,
@@ -29,14 +34,18 @@ from .groups import (
 MAX_PERMUTATION_CLOSURE = 4096
 
 
-def _table_from_mul(elements: Sequence, mul) -> np.ndarray:
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[mul(a, b)]
-    return table
+def _product_table(radices: Sequence[int], mul) -> np.ndarray:
+    """Cayley table of a group on coordinate tuples, in lexicographic order.
+
+    Element k has coordinates `np.unravel_index(k, radices)`. `mul(x, y)`
+    takes the coordinates of two elements as tuples of numpy arrays and
+    returns those of their product, each reduced into range; it is called
+    once, on arrays that broadcast over every pair of elements.
+    """
+    coords = np.unravel_index(np.arange(prod(radices)), radices)
+    left = tuple(c[:, None] for c in coords)
+    right = tuple(c[None, :] for c in coords)
+    return np.ravel_multi_index(mul(left, right), radices)
 
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
@@ -47,34 +56,26 @@ def cyclic(n: int, name: str | None = None) -> FiniteGroup:
 
 
 def abelian(invariants: Sequence[int], name: str | None = None) -> FiniteGroup:
-    """Direct product of cyclic groups with the given orders."""
-    invs = [int(v) for v in invariants if int(v) > 1]
-    if not invs:
-        return make_group(np.zeros((1, 1), dtype=np.int64), name or "C1")
-    elements = [()]
-    for m in invs:
-        elements = [e + (r,) for e in elements for r in range(m)]
+    """Direct product of cyclic groups with the given orders (each at least 1)."""
+    invs = [int(v) for v in invariants]
+    if any(m < 1 for m in invs):
+        raise ValueError(f"abelian invariants must be positive, got {invs}")
+    invs = [m for m in invs if m > 1] or [1]
 
-    def mul(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, invs))
+    def mul(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, invs))
 
-    label = name or "x".join(f"C{m}" for m in invs)
-    return make_group(_table_from_mul(elements, mul), label)
+    return make_group(_product_table(invs, mul), name or "x".join(f"C{m}" for m in invs))
 
 
 def _two_generator_presentation(m: int, twist: int, square: int, name: str) -> FiniteGroup:
     """Group <r, s : r^m = 1, s^2 = r^square, s r s^-1 = r^twist> on pairs (i, e)."""
-    elements = [(i, e) for i in range(m) for e in range(2)]
+    def mul(x, y):
+        (i, e), (j, f) = x, y
+        jj = np.where(e == 0, j, twist * j)
+        return (i + jj + square * (e & f)) % m, (e + f) % 2
 
-    def mul(a, b):
-        i, e = a
-        j, f = b
-        jj = j if e == 0 else (twist * j) % m
-        if e and f:
-            return ((i + jj + square) % m, 0)
-        return ((i + jj) % m, (e + f) % 2)
-
-    return make_group(_table_from_mul(elements, mul), name)
+    return make_group(_product_table((m, 2), mul), name)
 
 
 def dihedral_group(order: int, name: str | None = None) -> FiniteGroup:
@@ -117,14 +118,14 @@ def heisenberg(p: int, name: str | None = None) -> FiniteGroup:
 
     For odd p this has exponent p.
     """
-    elements = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    if p < 1:
+        raise ValueError(f"heisenberg needs p >= 1, got {p}")
 
     def mul(x, y):
-        a, b, c = x
-        d, e, f = y
-        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
+        (a, b, c), (d, e, f) = x, y
+        return (a + d) % p, (b + e) % p, (c + f + a * e) % p
 
-    return make_group(_table_from_mul(elements, mul), name or f"Heis{p}")
+    return make_group(_product_table((p, p, p), mul), name or f"Heis{p}")
 
 
 def extraspecial_27_exp3() -> FiniteGroup:
@@ -164,21 +165,14 @@ def semidirect(n_group: FiniteGroup, h_group: FiniteGroup, action,
     (n1, h1)(n2, h2) = (n1 * action[h1](n2), h1 h2).
     """
     act = validate_action(n_group, h_group, action)
-    nn, nh = n_group.order, h_group.order
     tn, th = n_group.table, h_group.table
-    order = nn * nh
-    table = np.empty((order, order), dtype=np.int64)
-    for n1 in range(nn):
-        for h1 in range(nh):
-            row = table[n1 * nh + h1]
-            acted = act[h1]
-            for n2 in range(nn):
-                base = tn[n1, acted[n2]] * nh
-                hrow = th[h1]
-                for h2 in range(nh):
-                    row[n2 * nh + h2] = base + hrow[h2]
-    label = name or f"({n_group.name})x|({h_group.name})"
-    return make_group(table, label)
+
+    def mul(x, y):
+        (n1, h1), (n2, h2) = x, y
+        return tn[n1, act[h1, n2]], th[h1, h2]
+
+    table = _product_table((n_group.order, h_group.order), mul)
+    return make_group(table, name or f"({n_group.name})x|({h_group.name})")
 
 
 def trivial_action(n_group: FiniteGroup, h_group: FiniteGroup) -> np.ndarray:
@@ -244,51 +238,16 @@ def holomorph_cyclic(n: int) -> FiniteGroup:
     """Semidirect product of C_n by its full automorphism group (units mod n)."""
     if n < 2:
         raise ValueError("holomorph_cyclic needs n >= 2")
-    units = [u for u in range(1, n) if np.gcd(u, n) == 1]
-    elements = [(a, u) for a in range(n) for u in units]
+    units = np.array([u for u in range(1, n) if np.gcd(u, n) == 1])
+    unit_index = np.zeros(n, dtype=np.int64)
+    unit_index[units] = np.arange(units.size)
 
     def mul(x, y):
-        a, u = x
-        b, v = y
-        return ((a + u * b) % n, (u * v) % n)
+        (a, i), (b, j) = x, y
+        u, v = units[i], units[j]
+        return (a + u * b) % n, unit_index[u * v % n]
 
-    return make_group(_table_from_mul(elements, mul), f"Hol(C{n})")
-
-
-def _hom_from_generator_images(group: FiniteGroup, gens: Sequence[int],
-                               images: Sequence[int]) -> np.ndarray | None:
-    """Extend gen -> image to a map on the whole group via BFS words.
-
-    Returns None when the assignment is inconsistent; the returned map is
-    total whenever `gens` generates the group, but is not yet verified to be
-    a homomorphism on all pairs.
-    """
-    n = group.order
-    mapping = np.full(n, -1, dtype=np.int64)
-    mapping[group.identity] = group.identity
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, img in zip(gens, images):
-                y = group.mul(x, g)
-                fy = group.mul(int(mapping[x]), img)
-                if mapping[y] < 0:
-                    mapping[y] = fy
-                    nxt.append(y)
-                elif mapping[y] != fy:
-                    return None
-        frontier = nxt
-    if (mapping < 0).any():
-        return None
-    return mapping
-
-
-def _is_automorphism(group: FiniteGroup, mapping: np.ndarray) -> bool:
-    if len(set(int(v) for v in mapping)) != group.order:
-        return False
-    return bool(np.array_equal(mapping[group.table],
-                               group.table[np.ix_(mapping, mapping)]))
+    return make_group(_product_table((n, units.size), mul), f"Hol(C{n})")
 
 
 def _two_generator_pair(group: FiniteGroup) -> tuple[int, int]:
@@ -330,8 +289,8 @@ def smallgroup_216_86() -> FiniteGroup:
         if x1 in zc.members:
             continue
         for y1 in range(e27.order):
-            mapping = _hom_from_generator_images(e27, (x0, y0), (x1, y1))
-            if mapping is None or not _is_automorphism(e27, mapping):
+            mapping = _extend_generator_images(e27, e27, (x0, y0), (x1, y1))
+            if mapping is None or not _is_homomorphism(e27, e27, mapping):
                 continue
             if any(mapping[z] != e27.inv(z) for z in z_members if z != e27.identity):
                 continue
@@ -411,12 +370,13 @@ def from_permutations(generators: Sequence[Sequence[int]], name: str = "G",
                     seen.add(composed)
                     nxt.append(composed)
         frontier = nxt
-    elements = sorted(seen)
-
-    def mul(a, b):
-        return tuple(a[x] for x in b)
-
-    return make_group(_table_from_mul(elements, mul), name)
+    perms = np.array(sorted(seen), dtype=np.int64)
+    # Left multiplication by perms[i] permutes the group, so sorting row i's
+    # products lists the elements in index order.
+    table = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, perm in enumerate(perms):
+        table[i, np.lexsort(perm[perms].T[::-1])] = np.arange(len(perms))
+    return make_group(table, name)
 
 
 def int_matrix(rows, what: str) -> np.ndarray:

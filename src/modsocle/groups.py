@@ -1,7 +1,9 @@
 """Finite groups as Cayley tables, with subgroup and quotient machinery.
 
 Elements are indices 0..n-1; the table is a dense numpy array so that one
-multiplication is one lookup. Groups and subgroups are immutable after
+multiplication is one lookup, and a whole set of products (a subgroup
+conjugated by many elements, the powers of every element) is one indexing
+step into it. Groups and subgroups are immutable after
 construction and safe to share between workers; a group only fills in its
 memo of the subgroups computed from it. Every operation here is a pure
 function of its inputs with deterministic (smallest-index) tie-breaking.
@@ -13,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -222,14 +224,12 @@ class Subgroup:
 
     @cached_property
     def is_normal(self) -> bool:
+        """Conjugating by the generators suffices: each conjugation is a
+        bijection, so x H x^-1 within H means x H x^-1 = H."""
         g = self.parent
-        arr = np.array(self.sorted_members, dtype=np.int64)
-        target = set(self.members)
-        for x in range(g.order):
-            conj = g.table[g.table[x, arr], g.inverse[x]]
-            if set(int(v) for v in conj) != target:
-                return False
-        return True
+        inside = np.zeros(g.order, dtype=bool)
+        inside[list(self.members)] = True
+        return bool(inside[_conjugates(g, self.sorted_members, g.generators)].all())
 
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Reindex the subgroup as a standalone group.
@@ -238,10 +238,8 @@ class Subgroup:
         to parent indices.
         """
         mem = self.sorted_members
-        pos = {m: i for i, m in enumerate(mem)}
         arr = np.array(mem, dtype=np.int64)
-        sub = self.parent.table[np.ix_(arr, arr)]
-        table = np.array([[pos[int(v)] for v in row] for row in sub], dtype=np.int64)
+        table = np.searchsorted(arr, self.parent.table[np.ix_(arr, arr)])
         label = name or f"{self.parent.name}|{self.order}"
         return make_group(table, label), mem
 
@@ -266,15 +264,17 @@ def _find_identity(table: np.ndarray) -> int:
 
 
 def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
-    n = table.shape[0]
-    orders = np.ones(n, dtype=np.int64)
-    for g in range(n):
-        x = g
-        k = 1
-        while x != identity:
-            x = int(table[x, g])
-            k += 1
-        orders[g] = k
+    """Order of every element, stepping the k-th powers of all elements at once."""
+    orders = np.ones(table.shape[0], dtype=np.int64)
+    live = np.flatnonzero(np.arange(table.shape[0]) != identity)
+    power = live
+    k = 1
+    while live.size:
+        k += 1
+        power = table[power, live]
+        done = power == identity
+        orders[live[done]] = k
+        live, power = live[~done], power[~done]
     return orders
 
 
@@ -376,6 +376,12 @@ def generate_subgroup(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return group.subgroup(members)
 
 
+def _conjugates(group: FiniteGroup, members, by) -> np.ndarray:
+    """Row i holds by[i] m by[i]^-1 for each m in `members`."""
+    t, by = group.table, np.asarray(by, dtype=np.int64)
+    return t[t[by[:, None], np.asarray(members, dtype=np.int64)], group.inverse[by][:, None]]
+
+
 def _normal_closure(group: FiniteGroup, base: frozenset[int],
                     seed: Iterable[int]) -> frozenset[int]:
     """Least normal subgroup containing the normal subgroup `base` and `seed`.
@@ -385,16 +391,14 @@ def _normal_closure(group: FiniteGroup, base: frozenset[int],
     by the conjugates outside it, which join the list. Once the list is
     exhausted, N^s lies in N for every group generator s, so N is normal.
     """
-    t, inv = group.table, group.inverse
-    outer = np.array(group.generators, dtype=np.int64)
-    gens = [int(x) for x in seed]
-    members = _closure(t, base, gens)
-    for x in gens:
-        conj = t[t[outer, x], inv[outer]]
-        fresh = [int(c) for c in conj if int(c) not in members]
-        if fresh:
-            members = _closure(t, members, fresh)
-            gens.extend(fresh)
+    fresh = np.fromiter(seed, dtype=np.int64)
+    members = base
+    while fresh.size:
+        members = _closure(group.table, members, fresh.tolist())
+        inside = np.zeros(group.order, dtype=bool)
+        inside[list(members)] = True
+        conj = np.unique(_conjugates(group, fresh, group.generators))
+        fresh = conj[~inside[conj]]
     return members
 
 
@@ -413,15 +417,11 @@ def centralizer(group: FiniteGroup, subset: Iterable[int],
 def normalizer(group: FiniteGroup, sub: Subgroup | Iterable[int],
                within: Optional[Subgroup] = None) -> Subgroup:
     members = sub.members if isinstance(sub, Subgroup) else frozenset(int(s) for s in sub)
-    arr = np.fromiter(sorted(members), dtype=np.int64)
-    t, inv = group.table, group.inverse
-    domain = range(group.order) if within is None else within.sorted_members
-    keep = []
-    for x in domain:
-        conj = t[t[x, arr], inv[x]]
-        if frozenset(int(v) for v in conj) == members:
-            keep.append(x)
-    return group.subgroup(keep)
+    arr = np.fromiter(members, dtype=np.int64, count=len(members))
+    inside = np.zeros(group.order, dtype=bool)
+    inside[arr] = True
+    domain = np.arange(group.order) if within is None else np.array(within.sorted_members)
+    return group.subgroup(domain[inside[_conjugates(group, arr, domain)].all(axis=1)])
 
 
 def commutator_subgroup(group: FiniteGroup, a: Subgroup | Iterable[int],
@@ -547,15 +547,10 @@ def p_core(group: FiniteGroup, p: int) -> Subgroup:
     Computed once per group and prime.
     """
     syl = sylow_subgroup(group, p)
-    arr = np.array(syl.sorted_members, dtype=np.int64)
-    t, inv = group.table, group.inverse
-    members = set(syl.members)
-    for x in range(group.order):
-        conj = t[t[x, arr], inv[x]]
-        members &= set(int(v) for v in conj)
-        if len(members) == 1:
-            break
-    return group.subgroup(members)
+    conj = _conjugates(group, syl.sorted_members, np.arange(group.order))
+    # Row x is the conjugate by x, so the core's members occur in every row.
+    counts = np.bincount(conj.ravel(), minlength=group.order)
+    return group.subgroup(np.flatnonzero(counts == group.order))
 
 
 @_memoized
@@ -654,11 +649,9 @@ def quotient(group: FiniteGroup, n_sub: Subgroup) -> tuple[FiniteGroup, np.ndarr
     if not n_sub.is_normal:
         raise NotNormalError(f"{n_sub!r} is not normal in {group.name!r}")
     t = group.table
-    arr = np.array(n_sub.sorted_members, dtype=np.int64)
-    coset_min = t[:, arr].min(axis=1)
+    coset_min = t[:, n_sub.sorted_members].min(axis=1)
     reps = np.unique(coset_min)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    proj = np.array([index_of[int(c)] for c in coset_min], dtype=np.int64)
+    proj = np.searchsorted(reps, coset_min)
     qtable = proj[t[np.ix_(reps, reps)]]
     q = make_group(qtable, name=f"{group.name}/N{n_sub.order}")
     proj.flags.writeable = False
@@ -749,53 +742,60 @@ def _iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     if not gens:
         yield GroupIso(g1, g2, np.array([g2.identity], dtype=np.int64))
         return
-    n = g1.order
     by_order: dict[int, list[int]] = {}
-    for x in range(n):
+    for x in range(g1.order):
         by_order.setdefault(g2.element_order(x), []).append(x)
-
-    def build(images: list[int]) -> np.ndarray | None:
-        # BFS extension from the identity; positions not yet determined are -1.
-        mapping = np.full(n, -1, dtype=np.int64)
-        mapping[g1.identity] = g2.identity
-        frontier = [g1.identity]
-        used = {g2.identity}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gen, img in zip(gens[:len(images)], images):
-                    y = g1.mul(x, gen)
-                    fy = g2.mul(int(mapping[x]), img)
-                    if mapping[y] < 0:
-                        if fy in used:
-                            return None
-                        mapping[y] = fy
-                        used.add(fy)
-                        nxt.append(y)
-                    elif mapping[y] != fy:
-                        return None
-            frontier = nxt
-        return mapping
 
     def extend(images: list[int]):
         k = len(images)
         if k == len(gens):
-            mapping = build(images)
-            if mapping is None or (mapping < 0).any():
-                return
-            ma = mapping[g1.table]
-            mb = g2.table[np.ix_(mapping, mapping)]
-            if np.array_equal(ma, mb):
+            mapping = _extend_generator_images(g1, g2, gens, images)
+            if mapping is not None and _is_homomorphism(g1, g2, mapping):
                 yield GroupIso(g1, g2, mapping)
             return
         want = g1.element_order(gens[k])
         for cand in by_order.get(want, ()):
-            partial = build(images + [cand])
-            if partial is None:
-                continue
-            yield from extend(images + [cand])
+            if _extend_generator_images(g1, g2, gens[:k + 1], images + [cand]) is not None:
+                yield from extend(images + [cand])
 
     yield from extend([])
+
+
+def _extend_generator_images(source: FiniteGroup, target: FiniteGroup,
+                             gens: Sequence[int], images: Sequence[int]) -> np.ndarray | None:
+    """Extend gens[i] -> images[i] to the elements the gens reach, as a map of
+    words: breadth-first from the identity by right multiplication.
+
+    Returns None when two words for one element get different images or two
+    elements get one image; elements the gens do not reach map to -1. The
+    result is a homomorphism only if `_is_homomorphism` says so.
+    """
+    mapping = np.full(source.order, -1, dtype=np.int64)
+    mapping[source.identity] = target.identity
+    used = {target.identity}
+    frontier = [source.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen, img in zip(gens, images):
+                y = source.mul(x, gen)
+                fy = target.mul(int(mapping[x]), img)
+                if mapping[y] < 0:
+                    if fy in used:
+                        return None
+                    mapping[y] = fy
+                    used.add(fy)
+                    nxt.append(y)
+                elif mapping[y] != fy:
+                    return None
+        frontier = nxt
+    return mapping
+
+
+def _is_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping: np.ndarray) -> bool:
+    """Is `mapping` defined everywhere and does it respect every product?"""
+    return bool((mapping >= 0).all() and np.array_equal(
+        mapping[source.table], target.table[np.ix_(mapping, mapping)]))
 
 
 def are_isoclinic(g1: FiniteGroup, g2: FiniteGroup) -> IsoclinismWitness | None:
@@ -816,8 +816,8 @@ def are_isoclinic(g1: FiniteGroup, g2: FiniteGroup) -> IsoclinismWitness | None:
     d2g, _ = d2.as_group()
     if element_order_multiset(d1g) != element_order_multiset(d2g):
         return None
-    reps1 = _coset_representatives(proj1, q1.order)
-    reps2 = _coset_representatives(proj2, q2.order)
+    reps1 = _coset_representatives(proj1)
+    reps2 = _coset_representatives(proj2)
     for beta in _iter_isomorphisms(q1, q2):
         phi = _compatible_derived_iso(g1, g2, d1, d2, reps1, reps2, beta.mapping)
         if phi is not None:
@@ -825,13 +825,9 @@ def are_isoclinic(g1: FiniteGroup, g2: FiniteGroup) -> IsoclinismWitness | None:
     return None
 
 
-def _coset_representatives(proj: np.ndarray, count: int) -> np.ndarray:
-    reps = np.full(count, -1, dtype=np.int64)
-    for g in range(proj.size):
-        c = int(proj[g])
-        if reps[c] < 0:
-            reps[c] = g
-    return reps
+def _coset_representatives(proj: np.ndarray) -> np.ndarray:
+    """The least element of each coset, in coset order."""
+    return np.unique(proj, return_index=True)[1]
 
 
 def _compatible_derived_iso(g1, g2, d1: Subgroup, d2: Subgroup,

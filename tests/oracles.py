@@ -104,6 +104,17 @@ def naive_conjugacy_classes(table) -> list[frozenset]:
     return classes
 
 
+def table_from_mul(elements, mul) -> np.ndarray:
+    """Cayley table of `elements` under `mul`, one `mul` call per cell."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    table = np.empty((n, n), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            table[i, j] = index[mul(a, b)]
+    return table
+
+
 def naive_closure(table, seed, identity) -> frozenset:
     members = set(seed) | {identity}
     while True:

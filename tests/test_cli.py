@@ -128,15 +128,26 @@ def test_analyze_bad_spec_exit_2(capsys):
     ("file", {"format": "perm", "generators": [[1, 0.0, 2]]}),
     ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:2",
                     "action": [["a", "b", "c"], [0, 2, 1]]}),
-    ("cyclic:0", None), ("dihedral:7", None), ("holomorph:1", None)])
+    ("cyclic:0", None), ("dihedral:7", None), ("holomorph:1", None),
+    ("quaternion:8", None), ("semidihedral:12", None), ("heisenberg:0", None),
+    ("abelian:0", None), ("abelian:2x0", None),
+    ("file", {"format": "cayley", "table": [[0, 1], [0, 1]]}),
+    ("semidirect", {"normal": "quaternion:8", "complement": "cyclic:2",
+                    "action": [[0, 1], [0, 1]]}),
+    ("catalog", {"format": "cayley", "table": [[0, 1], [0, 1]]})])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, spec, document):
     """Only JSON integers are accepted, never coerced; a constructor's
-    ValueError is a parse error too, not a traceback."""
-    if document is not None:
+    ValueError, OrderTooSmallError or NotAGroupError is a parse error too,
+    not a traceback or a claim failure."""
+    argv = ["analyze", spec, "--prime", "2"]
+    if spec == "catalog":
+        (tmp_path / "input.json").write_text(json.dumps(document))
+        argv = ["census", "--prime", "2", "--catalog", str(tmp_path)]
+    elif document is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(document))
-        spec = f"file:{path}" if spec == "file" else f"semidirect:@{path}"
-    code, out, err = run_cli(capsys, "analyze", spec, "--prime", "2")
+        argv[1] = f"file:{path}" if spec == "file" else f"semidirect:@{path}"
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
 
 
@@ -262,6 +273,13 @@ def test_verify_and_census_stdout_match_recorded_digests(capsys, monkeypatch, ar
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+def test_smallgroup_216_86_analysis_matches_recorded_digest():
+    """Pins the 216-86 table, which its own automorphism search builds."""
+    text = dumps_canonical(analysis_document(group_from_spec("smallgroup:216-86"), 3))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "90e7b732513c8e3b7688788b1ae1a9c30f6ca5460c4126a59c2020372ded4879")
 
 
 @pytest.mark.parametrize("spec, p", [("holomorph:15", 2), ("dihedral:96", 3),

@@ -1,15 +1,21 @@
 """Concrete group constructors and file ingestion."""
 
+import itertools
 import json
+from math import gcd
 
 import numpy as np
 import pytest
 
 from modsocle.catalog import (
+    _ABELIAN_INVARIANTS,
+    alternating4,
     builtin_catalog,
     central_product_d8_c4,
     central_product_d8_d8,
+    dicyclic12,
     load_catalog_dir,
+    modular16,
     wreath_3_3,
 )
 from modsocle.constructors import (
@@ -18,6 +24,7 @@ from modsocle.constructors import (
     cyclic,
     cyclic_action,
     dihedral_group,
+    direct_product,
     extraspecial_27_exp3,
     family,
     from_permutations,
@@ -48,11 +55,15 @@ from modsocle.groups import (
     sylow_subgroup,
 )
 
-from .oracles import group_to_document, naive_closure
+from .oracles import group_to_document, naive_closure, table_from_mul
 
 
 def test_abelian_cases():
     assert abelian([1]).order == 1
+    assert abelian([1, 3]).name == "C3"
+    for bad in ([0], [2, 0]):
+        with pytest.raises(ValueError):
+            abelian(bad)
     klein = abelian([2, 2])
     assert klein.conjugacy_classes.count == 4
     c8 = abelian([8])
@@ -257,6 +268,115 @@ def test_catalog_dir_ingestion(tmp_path):
     assert [name for name, _ in data.entries] == ["C3", "D8"]
     with pytest.raises(ParseError):
         load_catalog_dir(tmp_path / "missing")
+
+
+# -- reference tables, one product per cell -------------------------------------
+
+def _coordinates(*radices):
+    return list(itertools.product(*(range(m) for m in radices)))
+
+
+def _two_generator_reference(m, twist, square):
+    def mul(a, b):
+        (i, e), (j, f) = a, b
+        jj = j if e == 0 else (twist * j) % m
+        if e and f:
+            return ((i + jj + square) % m, 0)
+        return ((i + jj) % m, (e + f) % 2)
+
+    return table_from_mul(_coordinates(m, 2), mul)
+
+
+def _heisenberg_reference(p):
+    def mul(x, y):
+        (a, b, c), (d, e, f) = x, y
+        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
+
+    return table_from_mul(_coordinates(p, p, p), mul)
+
+
+def _holomorph_reference(n):
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+
+    def mul(x, y):
+        (a, u), (b, v) = x, y
+        return ((a + u * b) % n, (u * v) % n)
+
+    return table_from_mul([(a, u) for a in range(n) for u in units], mul)
+
+
+def _semidirect_reference(n_group, h_group, act):
+    def mul(x, y):
+        (n1, h1), (n2, h2) = x, y
+        return (n_group.mul(n1, int(act[h1][n2])), h_group.mul(h1, h2))
+
+    return table_from_mul(_coordinates(n_group.order, h_group.order), mul)
+
+
+def _permutation_reference(gens):
+    identity = tuple(range(len(gens[0])))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [p for p in {tuple(s[t] for t in g) for s in frontier for g in gens}
+                    if p not in seen]
+        seen.update(frontier)
+    return table_from_mul(sorted(seen), lambda a, b: tuple(a[x] for x in b))
+
+
+def test_product_tables_match_the_per_cell_reference():
+    for inv in _ABELIAN_INVARIANTS:
+        ref = table_from_mul(_coordinates(*inv),
+                             lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, inv)))
+        assert np.array_equal(abelian(inv).table, ref), inv
+    for order in range(2, 65, 2):
+        m = order // 2
+        ref = _two_generator_reference(m, -1 % m if m > 1 else 0, 0)
+        assert np.array_equal(dihedral_group(order).table, ref), order
+    for order in (16, 32, 64, 128):
+        m = order // 2
+        assert np.array_equal(family("semidihedral", order).table,
+                              _two_generator_reference(m, m // 2 - 1, 0)), order
+        assert np.array_equal(family("quaternion", order).table,
+                              _two_generator_reference(m, -1 % m, m // 2)), order
+    assert np.array_equal(quaternion8().table, _two_generator_reference(4, 3, 2))
+    for p in (2, 3, 5):
+        assert np.array_equal(heisenberg(p).table, _heisenberg_reference(p)), p
+    for n in range(2, 21):
+        assert np.array_equal(holomorph_cyclic(n).table, _holomorph_reference(n)), n
+
+
+def test_semidirect_tables_match_the_per_cell_reference():
+    """Each semidirect product of the catalog, with its action read back from
+    the group: (1, h)(n, 1)(1, h)^-1 = (h(n), 1)."""
+    d8, q8 = dihedral_group(8), quaternion8()
+    cases = [(alternating4(), abelian([2, 2]), cyclic(3)),
+             (dicyclic12(), cyclic(3), cyclic(4)),
+             (modular16(), cyclic(8), cyclic(2)),
+             (wreath_3_3(), abelian([3, 3, 3]), cyclic(3)),
+             (smallgroup_216_86(), extraspecial_27_exp3(), cyclic(8))]
+    cases += [(direct_product(a, b), a, b)
+              for a, b in ((d8, cyclic(2)), (q8, cyclic(2)), (d8, cyclic(3)),
+                           (d8, cyclic(4)), (d8, d8))]
+    for g, n_group, h_group in cases:
+        nh = h_group.order
+        act = [[g.conj(n * nh + h_group.identity, n_group.identity * nh + h) // nh
+                for n in range(n_group.order)] for h in range(nh)]
+        assert np.array_equal(g.table, _semidirect_reference(n_group, h_group, act)), g.name
+
+
+def test_permutation_tables_match_the_per_cell_reference():
+    rng = np.random.default_rng(0)
+    cases = [[[1, 0, 2, 3], [1, 2, 3, 0]]]
+    while len(cases) < 51:
+        degree = int(rng.integers(2, 10))
+        gens = [rng.permutation(degree).tolist() for _ in range(int(rng.integers(1, 3)))]
+        try:
+            from_permutations(gens, max_order=200)
+        except ParseError:
+            continue
+        cases.append(gens)
+    for gens in cases:
+        assert np.array_equal(from_permutations(gens).table, _permutation_reference(gens)), gens
 
 
 def test_every_catalog_group_passes_full_validation():

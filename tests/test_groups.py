@@ -6,7 +6,14 @@ from math import gcd
 import numpy as np
 import pytest
 
-from modsocle.catalog import builtin_catalog, builtin_two_groups, wreath_3_3
+from modsocle.catalog import (
+    alternating4,
+    builtin_catalog,
+    builtin_two_groups,
+    dicyclic12,
+    symmetric4,
+    wreath_3_3,
+)
 from modsocle.constructors import (
     abelian,
     cyclic,
@@ -580,6 +587,34 @@ def test_normalizer_grows_p_subgroups():
     g = dihedral_group(12)
     syl = sylow_subgroup(g, 2)
     assert normalizer(g, syl).order >= syl.order
+
+
+def _naive_conjugates(g):
+    """conj(x, members): the set x members x^-1, from the raw table."""
+    t = g.table.tolist()
+    inv = [row.index(g.identity) for row in t]
+    return lambda x, members: frozenset(t[t[x][m]][inv[x]] for m in members)
+
+
+def test_p_core_is_the_intersection_of_the_sylow_conjugates():
+    for p in (2, 3):
+        for name, g in builtin_catalog():
+            conj = _naive_conjugates(g)
+            syl = sylow_subgroup(g, p).members
+            core = frozenset.intersection(*(conj(x, syl) for x in range(g.order)))
+            assert p_core(g, p).members == core, (name, p)
+
+
+def test_normalizer_and_is_normal_match_their_definitions():
+    for g in (dihedral_group(8), quaternion8(), alternating4(), symmetric4(), dicyclic12()):
+        conj = _naive_conjugates(g)
+        subs = all_subgroups(g)
+        for h in subs:
+            norm = frozenset(x for x in range(g.order) if conj(x, h.members) == h.members)
+            assert normalizer(g, h).members == norm, (g.name, h.sorted_members)
+            assert h.is_normal == (len(norm) == g.order)
+            for k in subs:
+                assert normalizer(g, h.members, within=k).members == norm & k.members
 
 
 def test_cores_and_residual_of_a_two_group_are_trivial():
