@@ -113,20 +113,6 @@ class PHShape:
 
 
 @dataclass(frozen=True, eq=False)
-class SocIdealVerdict:
-    """Both routes of the socle ideal test (they are required to agree)."""
-
-    prime: int
-    is_ideal: bool
-    contained_in_derived_sum: bool
-    socle_fg: FpSubspace
-    derived_sum_space: FpSubspace
-    socle_dim: int
-    jacobson_dim: int
-    center_dim: int
-
-
-@dataclass(frozen=True, eq=False)
 class ClassSelection:
     """Conjugacy classes whose radical basis elements survive a quotient map.
 
@@ -136,11 +122,8 @@ class ClassSelection:
     the projected element directly, and the two must agree.
     """
 
-    n_sub: Subgroup
     selected: tuple[int, ...]
     multipliers: dict[int, int]
-    elements: dict[int, np.ndarray]
-    image_class: dict[int, int]
     image_elements: dict[int, np.ndarray]
     quotient_algebra: "GroupAlgebra"
     projection: np.ndarray
@@ -349,9 +332,19 @@ class GroupAlgebra:
         return FpSubspace.span(np.array(rows, dtype=np.int64), self.p, self.center_dim)
 
     @cached_property
+    def socle_fg(self) -> FpSubspace:
+        """soc(ZF_pG) in F_pG coordinates."""
+        return self.embed_central(self.socle_center)
+
+    @cached_property
     def reynolds_space_fg(self) -> FpSubspace:
         """The Reynolds ideal in F_pG coordinates."""
         return self.embed_central(self.reynolds_center)
+
+    @cached_property
+    def derived_sum_space(self) -> FpSubspace:
+        """(G')+ . F_pG, the coset-sum space of the derived subgroup."""
+        return self.subgroup_sum_ideal(derived_subgroup(self.group))
 
     @cached_property
     def reynolds_is_ideal(self) -> bool:
@@ -369,11 +362,9 @@ class GroupAlgebra:
             rows = np.zeros((0, self.dim), dtype=np.int64)
         return FpSubspace.span(rows, self.p, self.dim)
 
-    def subgroup_sum_ideal(self, sub: Subgroup | Iterable[int]) -> FpSubspace:
+    def subgroup_sum_ideal(self, sub: Subgroup) -> FpSubspace:
         """S+ . F_pG: the span of the right-coset indicator vectors of S."""
-        members = sub.sorted_members if isinstance(sub, Subgroup) else tuple(sorted(set(map(int, sub))))
-        arr = np.array(members, dtype=np.int64)
-        coset_rep = self.group.table[arr, :].min(axis=0)
+        coset_rep = sub.coset_minima
         reps = np.unique(coset_rep)
         rows = np.zeros((reps.size, self.dim), dtype=np.int64)
         for r, rep in enumerate(reps):
@@ -419,31 +410,19 @@ class GroupAlgebra:
     # -- the two-route verdicts ----------------------------------------------
 
     @cached_property
-    def soc_is_ideal(self) -> SocIdealVerdict:
+    def soc_is_ideal(self) -> bool:
         """Is soc(ZF_pG) an ideal of F_pG?
 
         Route 1 closes the socle under generator translations; route 2 tests
         containment in (G')+ . F_pG. The routes must agree.
         """
-        soc = self.socle_center
-        soc_fg = self.embed_central(soc)
-        derived_sum = self.subgroup_sum_ideal(derived_subgroup(self.group))
-        direct = self.is_ideal(soc_fg)
-        contained = soc_fg.is_subspace_of(derived_sum)
+        direct = self.is_ideal(self.socle_fg)
+        contained = self.socle_fg.is_subspace_of(self.derived_sum_space)
         if direct != contained:
             raise DualRouteDisagreementError(
                 f"socle ideal test disagrees on {self.group.name}: "
                 f"direct={direct}, containment={contained}")
-        return SocIdealVerdict(
-            prime=self.p,
-            is_ideal=direct,
-            contained_in_derived_sum=contained,
-            socle_fg=soc_fg,
-            derived_sum_space=derived_sum,
-            socle_dim=soc.dim,
-            jacobson_dim=self.jacobson_center.dim,
-            center_dim=self.center_dim,
-        )
+        return direct
 
     def class_selection(self, n_sub: Subgroup) -> ClassSelection:
         """Classes whose radical basis elements survive projection mod N.
@@ -459,7 +438,6 @@ class GroupAlgebra:
         qbasis = qalg.jacobson_center_basis
         selected = []
         multipliers: dict[int, int] = {}
-        image_class: dict[int, int] = {}
         image_elements: dict[int, np.ndarray] = {}
         for i, vec in sorted(basis.items()):
             members = self.classes.classes[i]
@@ -482,14 +460,10 @@ class GroupAlgebra:
                     f"projected radical element of class {i} is not the expected multiple")
             selected.append(i)
             multipliers[i] = ratio
-            image_class[i] = img
             image_elements[img] = qbasis[img]
         return ClassSelection(
-            n_sub=n_sub,
             selected=tuple(selected),
             multipliers=multipliers,
-            elements={i: basis[i] for i in selected},
-            image_class=image_class,
             image_elements=image_elements,
             quotient_algebra=qalg,
             projection=proj,
@@ -535,7 +509,7 @@ class GroupAlgebra:
         y = AlgebraElement(self, coeffs)
         if not y.is_central():
             raise DualRouteDisagreementError("witness is not central")
-        if self.subgroup_sum_ideal(derived).contains(y.coeffs):
+        if self.derived_sum_space.contains(y.coeffs):
             raise DualRouteDisagreementError("witness lies in the derived coset-sum space")
         for sub in all_subgroups(dgroup):
             if sub.order == 1:

@@ -31,6 +31,7 @@ from .constructors import (
 )
 from .errors import (
     CensusMismatchError,
+    InvalidActionError,
     ModsocleError,
     ModulusTooLargeError,
     NotAGroupError,
@@ -66,7 +67,7 @@ from .verify import (
 SUITES = ("all", "A", "B", "C", "D", "isoclinism")
 
 # Errors of building an input group that say the input is malformed.
-_BAD_INPUT = (ValueError, OrderTooSmallError, NotAGroupError)
+_BAD_INPUT = (ValueError, OrderTooSmallError, NotAGroupError, InvalidActionError)
 
 
 def dumps_canonical(document: dict, indent: int | None = 2) -> str:
@@ -81,8 +82,9 @@ def group_from_spec(spec: str) -> FiniteGroup:
     extraspecial:27, heisenberg:P, holomorph:N (alias holomorph-c8),
     smallgroup:216-86, name:<builtin name>, file:PATH, semidirect:@PATH.
     A constructor's `ValueError` (such as cyclic:0), `OrderTooSmallError`
-    (quaternion:8) or `NotAGroupError` (a file whose table is not a group)
-    becomes a `ParseError`.
+    (quaternion:8), `NotAGroupError` (a file whose table is not a group) or
+    `InvalidActionError` (a semidirect action that is not a homomorphism
+    into Aut(N)) becomes a `ParseError`.
     """
     try:
         return _build_group(spec.strip())
@@ -179,7 +181,6 @@ def _semidirect_from_file(path: Path) -> FiniteGroup:
 
 def analysis_document(group: FiniteGroup, p: int) -> dict:
     alg = GroupAlgebra(group, p)
-    soc = alg.soc_is_ideal
     der = derived_subgroup(group)
     core = p_core(group, p)
     nclass = nilpotency_class_or_none(group)
@@ -198,14 +199,14 @@ def analysis_document(group: FiniteGroup, p: int) -> dict:
             "two_element_class_subgroup": two_element_class_subgroup(group).order,
         },
         "dimensions": {
-            "center": soc.center_dim,
-            "jacobson_center": soc.jacobson_dim,
-            "socle_center": soc.socle_dim,
+            "center": alg.center_dim,
+            "jacobson_center": alg.jacobson_center.dim,
+            "socle_center": alg.socle_center.dim,
             "reynolds": alg.reynolds_space_fg.dim,
-            "derived_coset_space": soc.derived_sum_space.dim,
+            "derived_coset_space": alg.derived_sum_space.dim,
         },
         "verdicts": {
-            "socle_ideal": soc.is_ideal,
+            "socle_ideal": alg.soc_is_ideal,
             "reynolds_ideal": alg.reynolds_is_ideal,
             "semisimple": group.order % p != 0,
         },

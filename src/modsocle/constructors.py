@@ -101,7 +101,7 @@ def family(kind: str, order: int) -> FiniteGroup:
         if n < 4:
             raise OrderTooSmallError(f"semidihedral family starts at order 16, got {order}")
         return _two_generator_presentation(m, m // 2 - 1, 0, f"SD{order}")
-    if kind in ("quaternion", "generalized_quaternion"):
+    if kind == "quaternion":
         if n < 4:
             raise OrderTooSmallError(f"generalized quaternion family starts at order 16, got {order}")
         return _two_generator_presentation(m, -1 % m, m // 2, f"Q{order}")
@@ -149,7 +149,8 @@ def validate_action(n_group: FiniteGroup, h_group: FiniteGroup, action) -> np.nd
             raise InvalidActionError(f"action of h={h} is not a permutation")
         if not np.array_equal(perm[t], t[np.ix_(perm, perm)]):
             bad = np.argwhere(perm[t] != t[np.ix_(perm, perm)])[0]
-            raise InvalidActionError(f"action of h={h} is not an automorphism at {tuple(bad)}")
+            raise InvalidActionError(
+                f"action of h={h} is not an automorphism at {tuple(int(x) for x in bad)}")
     for h1 in range(h_group.order):
         for h2 in range(h_group.order):
             if not np.array_equal(act[h_group.mul(h1, h2)], act[h1][act[h2]]):

@@ -231,7 +231,15 @@ class Subgroup:
         inside[list(self.members)] = True
         return bool(inside[_conjugates(g, self.sorted_members, g.generators)].all())
 
-    def as_group(self, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
+    @cached_property
+    def coset_minima(self) -> np.ndarray:
+        """Entry g is the least element of the right coset Hg."""
+        arr = np.array(self.sorted_members, dtype=np.int64)
+        minima = self.parent.table[arr, :].min(axis=0)
+        minima.flags.writeable = False
+        return minima
+
+    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Reindex the subgroup as a standalone group.
 
         Returns the group together with the tuple mapping new indices back
@@ -240,8 +248,7 @@ class Subgroup:
         mem = self.sorted_members
         arr = np.array(mem, dtype=np.int64)
         table = np.searchsorted(arr, self.parent.table[np.ix_(arr, arr)])
-        label = name or f"{self.parent.name}|{self.order}"
-        return make_group(table, label), mem
+        return make_group(table, f"{self.parent.name}|{self.order}"), mem
 
 
 def _latin_check(table: np.ndarray) -> None:
@@ -644,15 +651,15 @@ def hall_complement(group: FiniteGroup, p: int) -> Subgroup:
 def quotient(group: FiniteGroup, n_sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """Quotient group on the cosets of a normal subgroup, plus the projection map.
 
-    Cosets are indexed by their minimal member, in increasing order.
+    Cosets are indexed by their minimal member, in increasing order. For a
+    normal N the coset gN is Ng, so `n_sub.coset_minima` names it.
     """
     if not n_sub.is_normal:
         raise NotNormalError(f"{n_sub!r} is not normal in {group.name!r}")
-    t = group.table
-    coset_min = t[:, n_sub.sorted_members].min(axis=1)
+    coset_min = n_sub.coset_minima
     reps = np.unique(coset_min)
     proj = np.searchsorted(reps, coset_min)
-    qtable = proj[t[np.ix_(reps, reps)]]
+    qtable = proj[group.table[np.ix_(reps, reps)]]
     q = make_group(qtable, name=f"{group.name}/N{n_sub.order}")
     proj.flags.writeable = False
     return q, proj

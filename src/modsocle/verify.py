@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import fplin
-from .algebra import GroupAlgebra, SocIdealVerdict
+from .algebra import GroupAlgebra
 from .errors import CensusMismatchError, HypothesisViolationError, NotNilpotentError
 from .groups import (
     FiniteGroup,
@@ -177,9 +177,7 @@ def _reynolds_claims(alg: GroupAlgebra) -> list[ClaimResult]:
         claims.append(_claim(
             "splits_over_normal_sylow_with_abelian_complement",
             alg.ph_shape is not None, True))
-        sylow = sylow_subgroup(group, p)
-        arr = np.array(sylow.sorted_members, dtype=np.int64)
-        coset_rep = group.table[arr, :].min(axis=0)
+        coset_rep = sylow_subgroup(group, p).coset_minima
         cosets = {frozenset(np.nonzero(coset_rep == rep)[0].tolist())
                   for rep in np.unique(coset_rep)}
         sections = {frozenset(s) for s in pprime_sections(group, p)}
@@ -201,21 +199,20 @@ def verify_pgroup_classification(group: FiniteGroup, p: int) -> VerdictReport:
 
 def _pgroup_claims(alg: GroupAlgebra) -> list[ClaimResult]:
     group, p = alg.group, alg.p
-    verdict = alg.soc_is_ideal
     cls = nilpotency_class(group)
     criterion = cls <= 2 or (p == 2 and y_criterion(group))
     claims = [_claim(
-        "socle_ideal_iff_classification_criterion", verdict.is_ideal, criterion,
-        dimensions={"socle": verdict.socle_dim, "jacobson": verdict.jacobson_dim,
-                    "center": verdict.center_dim, "nilpotency_class": cls})]
-    if verdict.is_ideal:
+        "socle_ideal_iff_classification_criterion", alg.soc_is_ideal, criterion,
+        dimensions={"socle": alg.socle_center.dim, "jacobson": alg.jacobson_center.dim,
+                    "center": alg.center_dim, "nilpotency_class": cls})]
+    if alg.soc_is_ideal:
         claims.append(_claim("metabelian_when_socle_ideal", is_metabelian(group), True))
     if p != 2 and cls == 3:
-        claims.append(_witness_claim(alg, verdict))
+        claims.append(_witness_claim(alg))
     return claims
 
 
-def _witness_claim(alg: GroupAlgebra, verdict: SocIdealVerdict) -> ClaimResult:
+def _witness_claim(alg: GroupAlgebra) -> ClaimResult:
     """Certify a non-ideal socle via the annihilating witness on G/Z(G).
 
     The witness lives in the class-two quotient, kills every surviving
@@ -229,10 +226,10 @@ def _witness_claim(alg: GroupAlgebra, verdict: SocIdealVerdict) -> ClaimResult:
     kills_all = all(
         (y * qalg.element(qalg.expand_central(vec))).is_zero()
         for vec in selection.image_elements.values())
-    escapes = not qalg.subgroup_sum_ideal(derived_subgroup(qalg.group)).contains(y.coeffs)
+    escapes = not qalg.derived_sum_space.contains(y.coeffs)
     certified_nonideal = kills_all and escapes
     return _claim("witness_certifies_socle_not_ideal",
-                  certified_nonideal, not verdict.is_ideal,
+                  certified_nonideal, not alg.soc_is_ideal,
                   witness={"support": int(np.count_nonzero(y.coeffs))})
 
 
@@ -256,10 +253,10 @@ def verify_sufficient_conditions(group: FiniteGroup, p: int) -> VerdictReport:
         claims = [_not_applicable("sufficient_condition_implies_socle_ideal",
                                   "neither hypothesis holds")]
         return _report(group, p, claims)
-    verdict = GroupAlgebra(group, p).soc_is_ideal
+    alg = GroupAlgebra(group, p)
     claims = [_claim(
-        "sufficient_condition_implies_socle_ideal", verdict.is_ideal, True,
-        dimensions={"socle": verdict.socle_dim},
+        "sufficient_condition_implies_socle_ideal", alg.soc_is_ideal, True,
+        dimensions={"socle": alg.socle_center.dim},
         witness={"central_hypothesis": hyp_central, "two_class_hypothesis": hyp_two})]
     return _report(group, p, claims)
 
@@ -271,8 +268,7 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     factors and to P.
     """
     alg = GroupAlgebra(group, p)
-    verdict = alg.soc_is_ideal
-    if not verdict.is_ideal:
+    if not alg.soc_is_ideal:
         return _report(group, p, [_not_applicable(
             "central_product_decomposition", "socle is not an ideal")])
     shape = alg.require_ph_shape()
@@ -288,18 +284,18 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     target = alg.subgroup_sum_ideal(zp_derived)
     claims.append(_claim(
         "socle_equals_central_derived_coset_space",
-        verdict.socle_fg == target, True,
-        dimensions={"socle": verdict.socle_dim, "coset_space": target.dim}))
+        alg.socle_fg == target, True,
+        dimensions={"socle": alg.socle_center.dim, "coset_space": target.dim}))
     claims.append(_claim(
         "socle_dimension_is_index_of_central_derived_subgroup",
-        verdict.socle_dim, group.order // zp_derived.order))
+        alg.socle_center.dim, group.order // zp_derived.order))
     # |G : G'Z(G)| only equals that index once the p'-core is trivial (the
     # p'-core is central but not a p-group, so it never enters Z(P)G').
     if pprime_core(group, p).order == 1:
         der_z = _subgroup_product(group, derived_subgroup(group), center(group))
         claims.append(_claim(
             "socle_dimension_is_index_of_derived_times_center",
-            verdict.socle_dim, group.order // der_z.order))
+            alg.socle_center.dim, group.order // der_z.order))
     else:
         claims.append(_not_applicable(
             "socle_dimension_is_index_of_derived_times_center",
@@ -307,8 +303,8 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     for label, sub in (("centralizer_factor", cph), ("residual_factor", residual),
                        ("sylow_subgroup", sylow)):
         as_group, _ = sub.as_group()
-        sub_verdict = GroupAlgebra(as_group, p).soc_is_ideal
-        claims.append(_claim(f"socle_ideal_in_{label}", sub_verdict.is_ideal, True,
+        claims.append(_claim(f"socle_ideal_in_{label}",
+                             GroupAlgebra(as_group, p).soc_is_ideal, True,
                              dimensions={"order": as_group.order}))
     return _report(group, p, claims)
 
@@ -322,18 +318,18 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
     the Reynolds ideal is an ideal and the property holds mod the p'-core.
     """
     alg = GroupAlgebra(group, p)
-    base = alg.soc_is_ideal.is_ideal
+    base = alg.soc_is_ideal
     claims = []
     if n_sub is not None:
         q, _ = quotient(group, n_sub)
-        q_verdict = GroupAlgebra(q, p).soc_is_ideal.is_ideal
+        q_verdict = GroupAlgebra(q, p).soc_is_ideal
         claims.append(_claim(
             "socle_ideal_passes_to_quotient", (not base) or q_verdict, True,
             dimensions={"quotient_order": q.order},
             witness={"normal_order": n_sub.order}))
     core = pprime_core(group, p)
     bar, _ = quotient(group, core)
-    bar_verdict = GroupAlgebra(bar, p).soc_is_ideal.is_ideal
+    bar_verdict = GroupAlgebra(bar, p).soc_is_ideal
     claims.append(_claim(
         "socle_ideal_iff_reynolds_ideal_and_mod_pprime_core",
         base, alg.reynolds_is_ideal and bar_verdict,
@@ -345,7 +341,7 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
         verdicts = []
         for sub in (a, b):
             sub_group, _ = sub.as_group()
-            verdicts.append(GroupAlgebra(sub_group, p).soc_is_ideal.is_ideal)
+            verdicts.append(GroupAlgebra(sub_group, p).soc_is_ideal)
         claims.append(_claim(
             "central_product_ideal_iff_both_factors", base,
             verdicts[0] and verdicts[1],
@@ -365,18 +361,16 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
     claims = []
     for g in (g1, g2):
         alg = GroupAlgebra(g, p)
-        verdict = alg.soc_is_ideal
-        verdicts.append(verdict.is_ideal)
+        verdicts.append(alg.soc_is_ideal)
         if is_p_group(g.order, p):
             selection = alg.class_selection(center(g))
             qalg = selection.quotient_algebra
             maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
             ann = fplin.common_nullspace(maps, p, qalg.center_dim)
-            target = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
-            contained = qalg.embed_central(ann).is_subspace_of(target)
+            contained = qalg.embed_central(ann).is_subspace_of(qalg.derived_sum_space)
             claims.append(_claim(
                 f"annihilator_criterion_matches_verdict_{g.name}",
-                verdict.is_ideal, contained,
+                alg.soc_is_ideal, contained,
                 dimensions={"annihilator": ann.dim}))
     claims.insert(0, _claim("isoclinic_groups_share_verdict", verdicts[0], verdicts[1]))
     return VerdictReport(group_name=f"{g1.name}~{g2.name}", group_order=g1.order,
@@ -397,7 +391,6 @@ def census_record(name: str, group: FiniteGroup, p: int) -> dict:
     :func:`verify_pgroup_classification`.
     """
     alg = GroupAlgebra(group, p)
-    soc = alg.soc_is_ideal
     reynolds_claims = _reynolds_claims(alg)
     p_group = is_p_group(group.order, p)
     return {
@@ -406,8 +399,8 @@ def census_record(name: str, group: FiniteGroup, p: int) -> dict:
         "abelian": group.is_abelian,
         "is_p_group": p_group,
         "nilpotency_class": nilpotency_class_or_none(group),
-        "socle_ideal": soc.is_ideal,
-        "socle_dim": soc.socle_dim,
+        "socle_ideal": alg.soc_is_ideal,
+        "socle_dim": alg.socle_center.dim,
         "reynolds_ideal": alg.reynolds_is_ideal,
         "y_criterion": y_criterion(group) if p == 2 else None,
         "routes_agree": all(c.agree for c in reynolds_claims) and (
@@ -443,7 +436,6 @@ def run_census(entries: Iterable[tuple[str, FiniteGroup]], p: int,
             records = list(pool.map(_census_worker, work))
     else:
         records = [_census_worker(w) for w in work]
-    records.sort(key=lambda r: (r["order"], r["name"]))
     counts = {
         "abelian": sum(r["abelian"] for r in records),
         "class_exactly_two": sum(r["nilpotency_class"] == 2 for r in records),

@@ -343,7 +343,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
         raise DualRouteDisagreementError(
             f"quotient annihilator routes disagree for {alg.group.name}")
     contained = None
-    if alg.soc_is_ideal.is_ideal:
+    if alg.soc_is_ideal:
         target = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
         contained = qalg.embed_central(route1).is_subspace_of(target)
         if not contained:

@@ -68,17 +68,16 @@ def test_criterion_1_holomorph_exact_values():
         g = _holomorph_c8()
         assert g.conjugacy_classes.count == 11
         alg = GroupAlgebra(g, 2)
-        verdict = alg.soc_is_ideal
-        assert verdict.center_dim == 11
-        assert verdict.jacobson_dim == 10
+        assert alg.center_dim == 11
+        assert alg.jacobson_center.dim == 10
         jac = alg.jacobson_center
         for a in jac.basis:
             for b in jac.basis:
                 assert not central_multiply(alg, a, b).any()
         assert alg.socle_center == jac
-        assert verdict.socle_dim == 10
-        assert verdict.derived_sum_space.dim == 8
-        assert verdict.is_ideal is False
+        assert alg.socle_center.dim == 10
+        assert alg.derived_sum_space.dim == 8
+        assert alg.soc_is_ideal is False
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -98,8 +97,7 @@ def test_criterion_2_smallgroup_216_86():
         assert center(dgroup).members == derived_subgroup(dgroup).members
         assert all(dgroup.element_order(x) in (1, 3) for x in range(27))
         alg = GroupAlgebra(g, 3)
-        verdict = alg.soc_is_ideal
-        assert verdict.is_ideal is True
+        assert alg.soc_is_ideal is True
         comp = hall_complement(g, 3)
         rows = []
         for h in comp.sorted_members:
@@ -107,9 +105,9 @@ def test_criterion_2_smallgroup_216_86():
             row[[g.mul(h, d) for d in der.sorted_members]] = 1
             rows.append(row)
         coset_span = FpSubspace.span(np.array(rows), 3, g.order)
-        assert verdict.socle_fg == coset_span
+        assert alg.socle_fg == coset_span
         der_z = generate_subgroup(g, der.members | center(g).members)
-        assert verdict.socle_dim == 8 == g.order // der_z.order
+        assert alg.socle_center.dim == 8 == g.order // der_z.order
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.3f}s"
 
@@ -121,8 +119,7 @@ def test_criterion_3_dihedral_family_and_isoclinism():
         started = time.perf_counter()
         for n in (3, 4, 5, 6):
             g = dihedral_group(2 ** n)
-            verdict = GroupAlgebra(g, 2).soc_is_ideal
-            assert verdict.is_ideal is True
+            assert GroupAlgebra(g, 2).soc_is_ideal is True
             y = two_element_class_subgroup(g)
             z = center(g)
             yz = generate_subgroup(g, y.members | z.members)
@@ -142,7 +139,7 @@ def test_criterion_4_two_groups_up_to_16():
         entries = builtin_two_groups(16)
         assert len(entries) >= 20
         for name, g in entries:
-            assert GroupAlgebra(g, 2).soc_is_ideal.is_ideal, name
+            assert GroupAlgebra(g, 2).soc_is_ideal, name
 
 
 def _order32_catalog_dir():

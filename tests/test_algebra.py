@@ -400,12 +400,12 @@ def test_derived_coset_space_is_ideal_catalog_sample():
 
 
 def test_soc_is_ideal_cases():
-    assert GroupAlgebra(abelian([4, 2]), 2).soc_is_ideal.is_ideal
-    hol = GroupAlgebra(holomorph_cyclic(8), 2).soc_is_ideal
-    assert not hol.is_ideal
-    assert hol.socle_dim == 10 and hol.derived_sum_space.dim == 8
+    assert GroupAlgebra(abelian([4, 2]), 2).soc_is_ideal
+    hol = GroupAlgebra(holomorph_cyclic(8), 2)
+    assert not hol.soc_is_ideal
+    assert hol.socle_center.dim == 10 and hol.derived_sum_space.dim == 8
     for order in (8, 16, 32, 64):
-        assert GroupAlgebra(dihedral_group(order), 2).soc_is_ideal.is_ideal
+        assert GroupAlgebra(dihedral_group(order), 2).soc_is_ideal
 
 
 def test_radical_socle_and_verdict_are_computed_once_per_algebra(monkeypatch):
@@ -420,10 +420,11 @@ def test_radical_socle_and_verdict_are_computed_once_per_algebra(monkeypatch):
     prop.__set_name__(GroupAlgebra, "jacobson_center")
     monkeypatch.setattr(GroupAlgebra, "jacobson_center", prop)
     alg = GroupAlgebra(dihedral_group(16), 2)
-    verdict = alg.soc_is_ideal
-    assert alg.soc_is_ideal is verdict
+    assert alg.soc_is_ideal is True
     assert alg.socle_center is alg.socle_center
-    assert alg.jacobson_center.dim == verdict.jacobson_dim
+    assert alg.socle_fg is alg.socle_fg
+    assert alg.derived_sum_space is alg.derived_sum_space
+    assert alg.jacobson_center is alg.jacobson_center
     assert runs == [alg]
 
 
@@ -532,10 +533,9 @@ def test_pgroup_socle_ideal_iff_central_derived_space():
             if not is_p_group(g.order, p) or g.order == 1 or g.order > 128:
                 continue
             alg = GroupAlgebra(g, p)
-            verdict = alg.soc_is_ideal
             zg_der = generate_subgroup(g, center(g).members | derived_subgroup(g).members)
-            equality = verdict.socle_fg == alg.subgroup_sum_ideal(zg_der)
-            assert verdict.is_ideal == equality
+            equality = alg.socle_fg == alg.subgroup_sum_ideal(zg_der)
+            assert alg.soc_is_ideal == equality
 
 
 def test_socle_inside_central_quotient_image():

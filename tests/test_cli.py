@@ -134,11 +134,17 @@ def test_analyze_bad_spec_exit_2(capsys):
     ("file", {"format": "cayley", "table": [[0, 1], [0, 1]]}),
     ("semidirect", {"normal": "quaternion:8", "complement": "cyclic:2",
                     "action": [[0, 1], [0, 1]]}),
-    ("catalog", {"format": "cayley", "table": [[0, 1], [0, 1]]})])
+    ("catalog", {"format": "cayley", "table": [[0, 1], [0, 1]]}),
+    ("semidirect", {"normal": "cyclic:4", "complement": "cyclic:2",
+                    "action": [[0, 1, 2, 3], [1, 0, 2, 3]]}),
+    ("semidirect", {"normal": "cyclic:4", "complement": "cyclic:2",
+                    "action": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3]]}),
+    ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:4",
+                    "action": [[0, 1, 2], [0, 2, 1], [0, 2, 1], [0, 2, 1]]})])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, spec, document):
     """Only JSON integers are accepted, never coerced; a constructor's
-    ValueError, OrderTooSmallError or NotAGroupError is a parse error too,
-    not a traceback or a claim failure."""
+    ValueError, OrderTooSmallError, NotAGroupError or InvalidActionError is
+    a parse error too, not a traceback or a claim failure."""
     argv = ["analyze", spec, "--prime", "2"]
     if spec == "catalog":
         (tmp_path / "input.json").write_text(json.dumps(document))

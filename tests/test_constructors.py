@@ -132,7 +132,7 @@ def test_semidirect_wreath_class_3():
 def test_invalid_action_rejected():
     n, h = cyclic(4), cyclic(2)
     bad = np.array([[0, 1, 2, 3], [1, 0, 2, 3]])  # swap 0,1 is not an automorphism
-    with pytest.raises(InvalidActionError):
+    with pytest.raises(InvalidActionError, match=r"automorphism at \(0, 0\)$"):
         validate_action(n, h, bad)
     not_perm = np.array([[0, 1, 2, 3], [0, 0, 2, 3]])
     with pytest.raises(InvalidActionError):

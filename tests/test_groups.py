@@ -613,6 +613,8 @@ def test_normalizer_and_is_normal_match_their_definitions():
             norm = frozenset(x for x in range(g.order) if conj(x, h.members) == h.members)
             assert normalizer(g, h).members == norm, (g.name, h.sorted_members)
             assert h.is_normal == (len(norm) == g.order)
+            assert list(h.coset_minima) == [
+                min(g.mul(x, y) for x in h.members) for y in range(g.order)]
             for k in subs:
                 assert normalizer(g, h.members, within=k).members == norm & k.members
 

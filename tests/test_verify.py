@@ -28,6 +28,7 @@ from modsocle.errors import CensusMismatchError, HypothesisViolationError
 from modsocle.groups import (
     all_subgroups,
     center,
+    derived_subgroup,
     generate_subgroup,
     is_central_product,
     normal_subgroups,
@@ -134,7 +135,7 @@ def test_sufficient_conditions_not_necessary():
     report = verify_sufficient_conditions(smallgroup_216_86(), 3)
     claim = report.claims[0]
     assert not claim.applicable
-    assert GroupAlgebra(smallgroup_216_86(), 3).soc_is_ideal.is_ideal
+    assert GroupAlgebra(smallgroup_216_86(), 3).soc_is_ideal
 
 
 def test_sufficient_conditions_zero_disagreements_catalog():
@@ -219,8 +220,8 @@ def test_holomorph_has_no_fully_ideal_central_decomposition():
         if a.order * b.order < g.order or not is_central_product(g, a, b):
             continue
         found += 1
-        va = GroupAlgebra(a.as_group()[0], 2).soc_is_ideal.is_ideal
-        vb = GroupAlgebra(b.as_group()[0], 2).soc_is_ideal.is_ideal
+        va = GroupAlgebra(a.as_group()[0], 2).soc_is_ideal
+        vb = GroupAlgebra(b.as_group()[0], 2).soc_is_ideal
         assert not (va and vb)
     assert found >= 1
 
@@ -330,7 +331,7 @@ def test_socle_ideal_implies_reynolds_ideal_over_catalog():
             if g.order > 64:
                 continue
             alg = GroupAlgebra(g, p)
-            if alg.soc_is_ideal.is_ideal:
+            if alg.soc_is_ideal:
                 assert alg.is_ideal(alg.reynolds_space_fg), (name, p)
 
 
@@ -365,6 +366,22 @@ def test_census_record_builds_one_algebra_for_its_group(monkeypatch):
                        ("W33", wreath_3_3(), 3)):
         census_record(name, g, p)
         assert sum(group is g for group, _ in made) == 1, name
+
+
+def test_each_algebra_builds_its_derived_coset_sum_space_once(monkeypatch):
+    # the socle verdict, the witness and its escape check share one space
+    calls = []
+    build = GroupAlgebra.subgroup_sum_ideal
+
+    def counted(self, sub):
+        if sub == derived_subgroup(self.group):
+            calls.append(self)
+        return build(self, sub)
+
+    monkeypatch.setattr(GroupAlgebra, "subgroup_sum_ideal", counted)
+    verify_pgroup_classification(wreath_3_3(), 3)
+    algebras = {id(alg): alg for alg in calls}.values()
+    assert [sum(a is alg for a in calls) for alg in algebras] == [1, 1]
 
 
 def test_census_record_computes_the_lower_central_series_once(monkeypatch):
