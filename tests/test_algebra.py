@@ -419,8 +419,18 @@ def test_radical_socle_and_verdict_are_computed_once_per_algebra(monkeypatch):
     prop = cached_property(counted)
     prop.__set_name__(GroupAlgebra, "jacobson_center")
     monkeypatch.setattr(GroupAlgebra, "jacobson_center", prop)
+    closures = []
+    closure = GroupAlgebra.is_ideal
+
+    def counted_closure(self, space):
+        closures.append(space)
+        return closure(self, space)
+
+    monkeypatch.setattr(GroupAlgebra, "is_ideal", counted_closure)
     alg = GroupAlgebra(dihedral_group(16), 2)
     assert alg.soc_is_ideal is True
+    assert alg.soc_is_ideal is True
+    assert closures == [alg.socle_fg]
     assert alg.socle_center is alg.socle_center
     assert alg.socle_fg is alg.socle_fg
     assert alg.derived_sum_space is alg.derived_sum_space
