@@ -188,20 +188,15 @@ class GroupAlgebra:
 
     @cached_property
     def class_structure_constants(self) -> np.ndarray:
-        """a[i, j, l] with (class_i)+ (class_j)+ = sum_l a[i, j, l] (class_l)+, mod p."""
+        """a[i, j, l] with (class_i)+ (class_j)+ = sum_l a[i, j, l] (class_l)+, mod p:
+        the pairs (x, y) in class i x class j with xy in class l, over |class l|."""
         cls = self.classes
-        k = cls.count
-        n = self.dim
-        sizes = np.array(cls.sizes(), dtype=np.int64)
-        table = self.group.table
-        class_of = cls.class_of
-        a = np.zeros((k, k, k), dtype=np.int64)
-        for i, members in enumerate(cls.classes):
-            prod_class = class_of[table[np.array(members, dtype=np.int64)]]
-            for j, others in enumerate(cls.classes):
-                counts = np.bincount(prod_class[:, list(others)].ravel(), minlength=k)
-                a[i, j] = counts // sizes
-        return a % self.p
+        k, c = cls.count, cls.class_of
+        index = (c[:, None] * k + c[None, :]) * k + c[self.group.table]
+        a = np.bincount(index.ravel(), minlength=k ** 3).reshape(k, k, k)
+        a //= np.array(cls.sizes(), dtype=np.int64)
+        a %= self.p
+        return a
 
     def central_mult_matrix(self, vec) -> np.ndarray:
         """Matrix of multiplication by the central element with class coords `vec`."""
@@ -317,8 +312,9 @@ class GroupAlgebra:
     @cached_property
     def socle_center(self) -> FpSubspace:
         """soc(ZF_pG) in class coordinates: the annihilator of the radical
-        inside the center."""
-        maps = [self.central_mult_matrix(row) for row in self.jacobson_center.basis]
+        inside the center. The multiplication maps of the radical basis are
+        made one at a time, as `common_nullspace` reads them."""
+        maps = (self.central_mult_matrix(row) for row in self.jacobson_center.basis)
         return fplin.common_nullspace(maps, self.p, self.center_dim)
 
     @cached_property

@@ -175,8 +175,10 @@ def _semidirect_from_file(path: Path) -> FiniteGroup:
     complement = group_from_spec(doc["complement"]) if isinstance(doc.get("complement"), str) \
         else parse_group(doc.get("complement"))
     action = int_matrix(doc.get("action"), "semidirect action")
-    return semidirect(normal, complement, action,
-                      name=doc.get("name", f"{normal.name}x|{complement.name}"))
+    name = doc.get("name", f"{normal.name}x|{complement.name}")
+    if not isinstance(name, str):
+        raise ParseError("semidirect descriptor name must be a JSON string")
+    return semidirect(normal, complement, action, name=name)
 
 
 def analysis_document(group: FiniteGroup, p: int) -> dict:

@@ -139,10 +139,6 @@ class FpSubspace:
         return cls.span(np.zeros((0, ambient), dtype=np.int64), p, ambient)
 
     @classmethod
-    def full(cls, p: int, ambient: int) -> "FpSubspace":
-        return cls.span(np.eye(ambient, dtype=np.int64), p, ambient)
-
-    @classmethod
     def from_rref(cls, basis: Array, pivots: Sequence[int], p: int, ambient: int) -> "FpSubspace":
         """Wrap rows already in RREF; the invariants are verified."""
         b = as_matrix(basis, p, ambient)
@@ -193,19 +189,25 @@ def nullspace(m, p: int, cols: int | None = None) -> FpSubspace:
     n = a.shape[1]
     b, pivots = rref(a, p)
     free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
-        return FpSubspace.zero(p, n)
     vecs = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        vecs[i, f] = 1
-        for r, c in enumerate(pivots):
-            vecs[i, c] = (-int(b[r, f])) % p
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, list(pivots)] = -b[:, free].T % p
     return FpSubspace.span(vecs, p, n)
 
 
 def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
-    """Vectors annihilated by every matrix in `maps` (full space for no maps)."""
-    mats = [as_matrix(m, p, cols=ambient) for m in maps]
-    if not mats:
-        return FpSubspace.full(p, ambient)
-    return nullspace(np.vstack(mats), p, cols=ambient)
+    """Vectors annihilated by every matrix in `maps` (the full space for none).
+
+    `maps` is read lazily against a running RREF basis of at most `ambient`
+    rows: each matrix is reduced against it, only nonzero residual rows are
+    joined to it, and once the rank reaches `ambient` the rest are not read.
+    """
+    seen = FpSubspace.zero(p, ambient)
+    for m in maps:
+        residual = seen.reduce(m)
+        residual = residual[residual.any(axis=1)]
+        if residual.size:
+            seen = FpSubspace.span(np.concatenate((seen.basis, residual)), p, ambient)
+            if seen.dim == ambient:
+                break
+    return nullspace(seen.basis, p, cols=ambient)

@@ -20,7 +20,7 @@ from modsocle.errors import (
     NotAGroupError,
     NotNormalError,
 )
-from modsocle.fplin import FpSubspace, common_nullspace, nullspace
+from modsocle.fplin import FpSubspace, as_matrix, nullspace
 from modsocle.groups import (
     centralizer,
     commutator_subgroup,
@@ -221,6 +221,31 @@ def naive_frobenius_power(alg) -> np.ndarray:
     return power
 
 
+def naive_class_structure_constants(alg) -> np.ndarray:
+    """a[i, j, l] mod p, class pair by class pair: the products of class i
+    with class j, counted by the class they land in, per member of it."""
+    cls = alg.classes
+    k = cls.count
+    sizes = np.array(cls.sizes(), dtype=np.int64)
+    table = alg.group.table
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for i, members in enumerate(cls.classes):
+        prod_class = cls.class_of[table[np.array(members, dtype=np.int64)]]
+        for j, others in enumerate(cls.classes):
+            counts = np.bincount(prod_class[:, list(others)].ravel(), minlength=k)
+            a[i, j] = counts // sizes
+    return a % alg.p
+
+
+def stacked_nullspace(maps, p: int, ambient: int) -> FpSubspace:
+    """Vectors annihilated by every matrix in `maps`: one elimination of all
+    the matrices stacked, the full space for no maps."""
+    mats = [as_matrix(m, p, cols=ambient) for m in maps]
+    if not mats:
+        return FpSubspace.span(np.eye(ambient, dtype=np.int64), p, ambient)
+    return nullspace(np.vstack(mats), p, cols=ambient)
+
+
 # -- reference implementations the library does not carry ----------------------
 # Each is the direct construction of a space or subgroup that a test compares
 # with a statement of the paper; the CLI and the reports never need them.
@@ -240,7 +265,8 @@ def identity_coefficient(elem) -> int:
 
 def center_space_fg(alg):
     """ZF_pG in F_pG coordinates."""
-    return alg.embed_central(FpSubspace.full(alg.p, alg.center_dim))
+    k = alg.center_dim
+    return alg.embed_central(FpSubspace.span(np.eye(k, dtype=np.int64), alg.p, k))
 
 
 def meet(a, b):
@@ -327,7 +353,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
     selection = alg.class_selection(n_sub)
     qalg = selection.quotient_algebra
     maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
-    route1 = common_nullspace(maps, p, qalg.center_dim)
+    route1 = stacked_nullspace(maps, p, qalg.center_dim)
     reps = np.array(qalg.classes.representatives, dtype=np.int64)
     raw_maps = []
     for _, vec in sorted(alg.jacobson_center_basis.items()):
@@ -338,7 +364,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
             if not np.array_equal(pushed, pushed[reps[qalg.classes.class_of]]):
                 raise DimensionMismatchError("a projected radical element is not central")
             raw_maps.append(qalg.central_mult_matrix(pushed[reps]))
-    route2 = common_nullspace(raw_maps, p, qalg.center_dim)
+    route2 = stacked_nullspace(raw_maps, p, qalg.center_dim)
     if route1 != route2:
         raise DualRouteDisagreementError(
             f"quotient annihilator routes disagree for {alg.group.name}")

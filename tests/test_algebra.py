@@ -43,6 +43,7 @@ from .oracles import (
     inflate_from_quotient,
     left_ideal_closure,
     naive_center_annihilator,
+    naive_class_structure_constants,
     naive_commutator_rows,
     naive_frobenius_power,
     push_to_quotient,
@@ -115,6 +116,14 @@ def test_center_basis_counts():
     assert GroupAlgebra(abelian([2, 3]), 2).center_dim == 6
     assert GroupAlgebra(dihedral_group(8), 2).center_dim == 5
     assert GroupAlgebra(holomorph_cyclic(8), 2).center_dim == 11
+
+
+def test_class_structure_constants_match_the_pairwise_count():
+    cases = [(g, p) for _, g in builtin_catalog() for p in (2, 3)]
+    for g, p in cases + [(dihedral_group(512), 2)]:
+        alg = GroupAlgebra(g, p)
+        assert np.array_equal(alg.class_structure_constants,
+                              naive_class_structure_constants(alg)), (g.name, p)
 
 
 # -- relative augmentation ideal ----------------------------------------------
@@ -385,7 +394,7 @@ def test_reynolds_inside_socle_and_annihilates_radical():
 def test_is_ideal_basic_cases():
     g = dihedral_group(8)
     alg = GroupAlgebra(g, 2)
-    assert alg.is_ideal(FpSubspace.full(2, 8))
+    assert alg.is_ideal(FpSubspace.span(np.eye(8, dtype=np.int64), 2, 8))
     one_span = FpSubspace.span(np.eye(8, dtype=np.int64)[:1], 2, 8)
     assert not alg.is_ideal(one_span)
     assert alg.is_ideal(alg.subgroup_sum_ideal(derived_subgroup(g)))

@@ -140,11 +140,16 @@ def test_analyze_bad_spec_exit_2(capsys):
     ("semidirect", {"normal": "cyclic:4", "complement": "cyclic:2",
                     "action": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3]]}),
     ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:4",
-                    "action": [[0, 1, 2], [0, 2, 1], [0, 2, 1], [0, 2, 1]]})])
+                    "action": [[0, 1, 2], [0, 2, 1], [0, 2, 1], [0, 2, 1]]}),
+    ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:2",
+                    "action": [[0, 1, 2], [0, 2, 1]], "name": 5}),
+    ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:2",
+                    "action": [[0, 1, 2], [0, 2, 1]], "name": ["x"]})])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, spec, document):
-    """Only JSON integers are accepted, never coerced; a constructor's
-    ValueError, OrderTooSmallError, NotAGroupError or InvalidActionError is
-    a parse error too, not a traceback or a claim failure."""
+    """Only JSON integers are accepted, never coerced, and a descriptor's name
+    must be a JSON string; a constructor's ValueError, OrderTooSmallError,
+    NotAGroupError or InvalidActionError is a parse error too, not a
+    traceback or a claim failure."""
     argv = ["analyze", spec, "--prime", "2"]
     if spec == "catalog":
         (tmp_path / "input.json").write_text(json.dumps(document))
@@ -288,7 +293,8 @@ def test_smallgroup_216_86_analysis_matches_recorded_digest():
         "90e7b732513c8e3b7688788b1ae1a9c30f6ca5460c4126a59c2020372ded4879")
 
 
-@pytest.mark.parametrize("spec, p", [("holomorph:15", 2), ("dihedral:96", 3),
+@pytest.mark.parametrize("spec, p", [("dihedral:512", 2), ("quaternion:512", 2),
+                                     ("holomorph:15", 2), ("dihedral:96", 3),
                                      ("dihedral:16", 100003), ("quaternion:16", 100003),
                                      ("name:S4", 100003), ("name:E27", 100003)])
 def test_analysis_document_matches_recorded_digests(spec, p):

@@ -13,6 +13,7 @@ from .oracles import (
     brute_rank,
     enumerate_span,
     exact_rank,
+    stacked_nullspace,
 )
 
 
@@ -113,6 +114,38 @@ def test_common_nullspace():
     expected = brute_nullspace_vectors([[1, 0, 0], [0, 1, 0]], 2)
     assert enumerate_span(space.basis, 2, 3) == expected
 
+
+def _matrices(p, n):
+    """Lists of 0 to 5 matrices with n columns and 1 to n + 1 rows over F_p."""
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return st.lists(st.lists(row, min_size=1, max_size=n + 1), max_size=5)
+
+
+nullspace_cases = st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda p: st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(p), st.just(n), _matrices(p, n), st.integers(0, 6))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nullspace_cases, st.booleans())
+def test_common_nullspace_matches_the_stacked_oracle(case, full_rank_early):
+    p, n, maps, zero_at = case
+    if zero_at <= len(maps):
+        maps.insert(zero_at, [[0] * n])
+    tail = []
+    if full_rank_early:
+        # the identity reaches rank n, so no map after it may be read
+        maps.append(np.eye(n, dtype=np.int64))
+        tail = [[[1] * n]]
+
+    def lazily():
+        yield from (np.array(m) for m in maps)
+        if full_rank_early:
+            raise AssertionError("read a map after the rank reached the ambient dimension")
+
+    expected = stacked_nullspace(maps + tail, p, n)
+    assert common_nullspace(maps + tail, p, n) == expected
+    assert common_nullspace(lazily(), p, n) == expected
 
 small_matrices = st.integers(2, 3).flatmap(
     lambda p: st.tuples(
