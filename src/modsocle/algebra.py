@@ -263,9 +263,7 @@ class GroupAlgebra:
         if not syl.is_normal:
             return None
         comp = hall_complement(self.group, self.p)
-        arr = np.array(comp.sorted_members, dtype=np.int64)
-        t = self.group.table
-        if not np.array_equal(t[np.ix_(arr, arr)], t[np.ix_(arr, arr)].T):
+        if not comp.is_abelian:
             return None
         return PHShape(sylow=syl, complement=comp)
 

@@ -145,7 +145,8 @@ def load_catalog_dir(path: str | Path) -> CatalogData:
     """Read a directory of group files plus an optional catalog.json manifest.
 
     Group files are UTF-8 JSON in the cayley or perm schema; the manifest may
-    carry {"id": ..., "tags": [...]}. Files are read in sorted name order.
+    carry {"id": "<string>", "tags": ["<string>", ...]}, and any other type is
+    a ParseError. Files are read in sorted name order.
     """
     root = Path(path)
     if not root.is_dir():
@@ -160,8 +161,13 @@ def load_catalog_dir(path: str | Path) -> CatalogData:
             raise ParseError(f"bad catalog manifest {manifest}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"catalog manifest {manifest} must be an object")
-        catalog_id = str(data.get("id", catalog_id))
-        tags = tuple(str(t) for t in data.get("tags", ()))
+        catalog_id = data.get("id", catalog_id)
+        raw_tags = data.get("tags", [])
+        if not isinstance(catalog_id, str):
+            raise ParseError(f"catalog manifest {manifest}: id must be a string")
+        if not isinstance(raw_tags, list) or not all(isinstance(t, str) for t in raw_tags):
+            raise ParseError(f"catalog manifest {manifest}: tags must be a list of strings")
+        tags = tuple(raw_tags)
     entries = []
     for file in sorted(root.glob("*.json")):
         if file.name == "catalog.json":

@@ -284,7 +284,7 @@ def smallgroup_216_86() -> FiniteGroup:
     zc = center(e27)
     z_members = zc.sorted_members
     x0, y0 = _two_generator_pair(e27)
-    qz, projz = quotient(e27, zc)
+    _, projz = quotient(e27, zc)
     alpha = None
     for x1 in range(e27.order):
         if x1 in zc.members:
@@ -297,12 +297,7 @@ def smallgroup_216_86() -> FiniteGroup:
                 continue
             if _perm_order(mapping) != 8:
                 continue
-            induced = np.empty(qz.order, dtype=np.int64)
-            reps = {}
-            for g in range(e27.order):
-                reps.setdefault(int(projz[g]), g)
-            for c, rep in reps.items():
-                induced[c] = projz[mapping[rep]]
+            induced = projz[mapping[np.unique(zc.coset_minima)]]
             orbit = {int(projz[x0])}
             cur = int(projz[x0])
             for _ in range(8):

@@ -183,19 +183,22 @@ class Subgroup:
         self._validate()
 
     def _validate(self) -> None:
-        g = self.parent
-        if g.identity not in self.members:
-            raise NotAGroupError("identity", witness=sorted(self.members)[:4])
+        """One test: the members are indices of the parent, and they form a
+        nonempty set closed under the product.
+
+        That is exact for a finite group: a closed set holding x holds
+        x^o(x) = 1 and x^(o(x)-1) = x^-1, and Lagrange then holds.
+        """
         mem = self.sorted_members
+        if not mem:
+            raise NotAGroupError("empty-subset")
+        if mem[0] < 0 or mem[-1] >= self.parent.order:
+            raise NotAGroupError("index-range", witness=(mem[0], mem[-1]))
         arr = np.array(mem, dtype=np.int64)
-        prods = g.table[np.ix_(arr, arr)]
-        if not np.isin(prods, arr).all():
-            bad = np.argwhere(~np.isin(prods, arr))[0]
-            raise NotAGroupError("closure", witness=(mem[bad[0]], mem[bad[1]]))
-        if not np.isin(g.inverse[arr], arr).all():
-            raise NotAGroupError("inverse", witness=None)
-        if g.order % len(mem):
-            raise NotAGroupError("lagrange", witness=len(mem))
+        outside = ~self.mask[self.parent.table[np.ix_(arr, arr)]]
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise NotAGroupError("closure", witness=(mem[i], mem[j]))
 
     @cached_property
     def sorted_members(self) -> tuple[int, ...]:
@@ -223,13 +226,26 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name!r})"
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only membership flags over the parent's elements."""
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[list(self.members)] = True
+        inside.flags.writeable = False
+        return inside
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        """Do the members commute pairwise? Read in the parent's table."""
+        arr = np.array(self.sorted_members, dtype=np.int64)
+        block = self.parent.table[np.ix_(arr, arr)]
+        return bool(np.array_equal(block, block.T))
+
+    @cached_property
     def is_normal(self) -> bool:
         """Conjugating by the generators suffices: each conjugation is a
         bijection, so x H x^-1 within H means x H x^-1 = H."""
         g = self.parent
-        inside = np.zeros(g.order, dtype=bool)
-        inside[list(self.members)] = True
-        return bool(inside[_conjugates(g, self.sorted_members, g.generators)].all())
+        return bool(self.mask[_conjugates(g, self.sorted_members, g.generators)].all())
 
     @cached_property
     def coset_minima(self) -> np.ndarray:
@@ -421,24 +437,18 @@ def centralizer(group: FiniteGroup, subset: Iterable[int],
     return group.subgroup(domain[mask])
 
 
-def normalizer(group: FiniteGroup, sub: Subgroup | Iterable[int],
+def normalizer(group: FiniteGroup, sub: Subgroup,
                within: Optional[Subgroup] = None) -> Subgroup:
-    members = sub.members if isinstance(sub, Subgroup) else frozenset(int(s) for s in sub)
-    arr = np.fromiter(members, dtype=np.int64, count=len(members))
-    inside = np.zeros(group.order, dtype=bool)
-    inside[arr] = True
     domain = np.arange(group.order) if within is None else np.array(within.sorted_members)
-    return group.subgroup(domain[inside[_conjugates(group, arr, domain)].all(axis=1)])
+    conj = _conjugates(group, sub.sorted_members, domain)
+    return group.subgroup(domain[sub.mask[conj].all(axis=1)])
 
 
-def commutator_subgroup(group: FiniteGroup, a: Subgroup | Iterable[int],
-                        b: Subgroup | Iterable[int]) -> Subgroup:
+def commutator_subgroup(group: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by the commutators [x, y] with x in a, y in b."""
     t, inv = group.table, group.inverse
-    arr_a = np.fromiter(sorted(a.members if isinstance(a, Subgroup) else set(map(int, a))),
-                        dtype=np.int64)
-    arr_b = np.fromiter(sorted(b.members if isinstance(b, Subgroup) else set(map(int, b))),
-                        dtype=np.int64)
+    arr_a = np.array(a.sorted_members, dtype=np.int64)
+    arr_b = np.array(b.sorted_members, dtype=np.int64)
     ab = t[np.ix_(arr_a, arr_b)]
     x = t[ab, inv[arr_a][:, None]]
     comms = np.unique(t[x, inv[arr_b][None, :]])
@@ -487,8 +497,8 @@ def frattini_subgroup(group: FiniteGroup) -> Subgroup:
     :func:`all_subgroups`, well under a second at order 216.
     """
     n = group.order
-    p = _prime_power_base(n)
-    if p is not None:
+    p = next((f for f in range(2, n + 1) if n % f == 0), None)  # least prime factor
+    if p is not None and is_p_group(n, p):
         derived = derived_subgroup(group)
         powers = _power_map(group, p)
         return generate_subgroup(group, set(derived.members) | set(int(v) for v in powers))
@@ -496,21 +506,6 @@ def frattini_subgroup(group: FiniteGroup) -> Subgroup:
     for m in maximal_subgroups(group):
         members &= m.members
     return group.subgroup(members)
-
-
-def _prime_power_base(n: int) -> int | None:
-    """The prime p when n is a nontrivial power of p, else None."""
-    if n == 1:
-        return None
-    f = 2
-    m = n
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            return f if m == 1 else None
-        f += 1
-    return m
 
 
 def _p_part(n: int, p: int) -> int:
@@ -708,9 +703,7 @@ def nilpotency_class(group: FiniteGroup) -> int:
 
 
 def is_metabelian(group: FiniteGroup) -> bool:
-    d = derived_subgroup(group)
-    dg, _ = d.as_group()
-    return dg.is_abelian
+    return derived_subgroup(group).is_abelian
 
 
 def is_central_product(group: FiniteGroup, a: Subgroup, b: Subgroup) -> bool:
@@ -723,8 +716,8 @@ def is_central_product(group: FiniteGroup, a: Subgroup, b: Subgroup) -> bool:
     return generate_subgroup(group, a.members | b.members).order == group.order
 
 
-def element_order_multiset(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
-    vals, counts = np.unique(group.element_orders, return_counts=True)
+def element_order_multiset(orders: np.ndarray) -> tuple[tuple[int, int], ...]:
+    vals, counts = np.unique(orders, return_counts=True)
     return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
 
@@ -743,7 +736,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> GroupIso | None:
 def _iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     if g1.order != g2.order:
         return
-    if element_order_multiset(g1) != element_order_multiset(g2):
+    if element_order_multiset(g1.element_orders) != element_order_multiset(g2.element_orders):
         return
     gens = g1.generators
     if not gens:
@@ -817,24 +810,19 @@ def are_isoclinic(g1: FiniteGroup, g2: FiniteGroup) -> IsoclinismWitness | None:
     d1, d2 = derived_subgroup(g1), derived_subgroup(g2)
     if d1.order != d2.order or g1.order * z2.order != g2.order * z1.order:
         return None
-    q1, proj1 = quotient(g1, z1)
-    q2, proj2 = quotient(g2, z2)
-    d1g, _ = d1.as_group()
-    d2g, _ = d2.as_group()
-    if element_order_multiset(d1g) != element_order_multiset(d2g):
+    orders1 = g1.element_orders[list(d1.sorted_members)]
+    orders2 = g2.element_orders[list(d2.sorted_members)]
+    if element_order_multiset(orders1) != element_order_multiset(orders2):
         return None
-    reps1 = _coset_representatives(proj1)
-    reps2 = _coset_representatives(proj2)
+    q1, _ = quotient(g1, z1)
+    q2, _ = quotient(g2, z2)
+    reps1 = np.unique(z1.coset_minima)
+    reps2 = np.unique(z2.coset_minima)
     for beta in _iter_isomorphisms(q1, q2):
         phi = _compatible_derived_iso(g1, g2, d1, d2, reps1, reps2, beta.mapping)
         if phi is not None:
             return IsoclinismWitness(central_quotient_iso=beta, derived_iso=phi)
     return None
-
-
-def _coset_representatives(proj: np.ndarray) -> np.ndarray:
-    """The least element of each coset, in coset order."""
-    return np.unique(proj, return_index=True)[1]
 
 
 def _compatible_derived_iso(g1, g2, d1: Subgroup, d2: Subgroup,

@@ -144,15 +144,24 @@ def test_analyze_bad_spec_exit_2(capsys):
     ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:2",
                     "action": [[0, 1, 2], [0, 2, 1]], "name": 5}),
     ("semidirect", {"normal": "cyclic:3", "complement": "cyclic:2",
-                    "action": [[0, 1, 2], [0, 2, 1]], "name": ["x"]})])
+                    "action": [[0, 1, 2], [0, 2, 1]], "name": ["x"]}),
+    ("manifest", {"id": "order32", "tags": "order32-complete"}),
+    ("manifest", {"id": "order32", "tags": ["order32-complete", 32]}),
+    ("manifest", {"id": 5, "tags": []})])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, spec, document):
     """Only JSON integers are accepted, never coerced, and a descriptor's name
-    must be a JSON string; a constructor's ValueError, OrderTooSmallError,
+    and a catalog manifest's id must be JSON strings and its tags a list of
+    them; a constructor's ValueError, OrderTooSmallError,
     NotAGroupError or InvalidActionError is a parse error too, not a
     traceback or a claim failure."""
     argv = ["analyze", spec, "--prime", "2"]
     if spec == "catalog":
         (tmp_path / "input.json").write_text(json.dumps(document))
+        argv = ["census", "--prime", "2", "--catalog", str(tmp_path)]
+    elif spec == "manifest":
+        (tmp_path / "catalog.json").write_text(json.dumps(document))
+        c2 = group_to_document(group_from_spec("cyclic:2"))
+        (tmp_path / "c2.json").write_text(json.dumps(c2))
         argv = ["census", "--prime", "2", "--catalog", str(tmp_path)]
     elif document is not None:
         path = tmp_path / "input.json"

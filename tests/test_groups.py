@@ -223,9 +223,25 @@ def test_generate_subgroup_cases():
 
 
 def test_subgroup_validation_rejects_nonclosed():
-    g = cyclic(6)
-    with pytest.raises(NotAGroupError):
-        g.subgroup({0, 1})
+    """A subset is accepted iff it is one of the subgroups the lattice
+    search finds; the empty set and indices outside the group are rejected."""
+    for g in (cyclic(6), dihedral_group(6), dihedral_group(8), quaternion8()):
+        lattice = {h.members for h in all_subgroups(g)}
+        for size in range(g.order + 1):
+            for subset in itertools.combinations(range(g.order), size):
+                if frozenset(subset) in lattice:
+                    assert g.subgroup(subset).members == frozenset(subset)
+                    continue
+                with pytest.raises(NotAGroupError) as err:
+                    g.subgroup(subset)
+                witness = err.value.witness
+                assert witness is None or all(type(w) is int for w in witness)
+    c6 = cyclic(6)
+    for subset in ({0, 7}, {0, -6}):
+        with pytest.raises(NotAGroupError) as err:
+            c6.subgroup(subset)
+        assert err.value.axiom == "index-range"
+        assert all(type(w) is int for w in err.value.witness)
 
 
 # -- characteristic subgroups -------------------------------------------------
@@ -441,6 +457,14 @@ def test_is_metabelian():
     assert not is_metabelian(symmetric4())
 
 
+def test_subgroup_is_abelian_matches_the_standalone_group():
+    for _, g in builtin_catalog():
+        if g.order > 24:
+            continue
+        for h in all_subgroups(g):
+            assert h.is_abelian == h.as_group()[0].is_abelian, (g.name, h.sorted_members)
+
+
 def test_is_central_product():
     g = dihedral_group(8)
     assert is_central_product(g, g.full_subgroup, center(g))
@@ -616,7 +640,7 @@ def test_normalizer_and_is_normal_match_their_definitions():
             assert list(h.coset_minima) == [
                 min(g.mul(x, y) for x in h.members) for y in range(g.order)]
             for k in subs:
-                assert normalizer(g, h.members, within=k).members == norm & k.members
+                assert normalizer(g, h, within=k).members == norm & k.members
 
 
 def test_cores_and_residual_of_a_two_group_are_trivial():
@@ -629,7 +653,7 @@ def test_centralizer_normalizer_and_reduced_commutator_in_d8():
     g = dihedral_group(8)
     z = center(g)
     assert centralizer(g, z.sorted_members).order == 8
-    assert normalizer(g, z.sorted_members).order == 8
+    assert normalizer(g, z).order == 8
     assert reduced_commutator_subgroup(g, g.full_subgroup, 2).is_normal
 
 

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from modsocle import verify
 from modsocle.algebra import GroupAlgebra
 from modsocle.catalog import (
     builtin_catalog,
@@ -282,6 +283,22 @@ def test_census_complete_tag_mismatch_raises():
     entries = [(n, g) for n, g in builtin_catalog() if g.order == 32]
     with pytest.raises(CensusMismatchError):
         run_census(entries, 2, catalog_id="fake", tags=("order32-complete",))
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_census_complete_tag_compares_the_y_count_only_at_two(monkeypatch, prime):
+    """A catalog tagged complete passes at every prime when its counts match:
+    the length-two-class count is recorded, and so compared, only at p = 2."""
+    monkeypatch.setattr(verify, "ORDER32_EXPECTED", {
+        "group_count": 36, "abelian": 19, "class_exactly_two": 7,
+        "y_criterion_additional": 9})
+    summary = run_census(builtin_two_groups(), prime, catalog_id="two-groups",
+                         tags=("order32-complete",))
+    assert summary.complete_assertion_checked
+    monkeypatch.setitem(verify.ORDER32_EXPECTED, "abelian", 18)
+    with pytest.raises(CensusMismatchError):
+        run_census(builtin_two_groups(), prime, catalog_id="two-groups",
+                   tags=("order32-complete",))
 
 
 def test_census_parallel_matches_serial():
