@@ -199,9 +199,14 @@ class GroupAlgebra:
         return a
 
     def central_mult_matrix(self, vec) -> np.ndarray:
-        """Matrix of multiplication by the central element with class coords `vec`."""
+        """Matrix of multiplication by the central element with class coords `vec`.
+
+        Only the structure constants a[i] of the classes i in the support of
+        `vec` are contracted: |supp vec| * k^2 operations for k classes."""
         v = np.asarray(vec, dtype=np.int64) % self.p
-        return np.einsum("i,ijl->lj", v, self.class_structure_constants) % self.p
+        support = np.flatnonzero(v)
+        a = self.class_structure_constants
+        return np.einsum("i,ijl->lj", v[support], a[support]) % self.p
 
     def expand_central(self, vec) -> np.ndarray:
         """Class coordinates -> F_pG coefficient vector."""
@@ -222,9 +227,10 @@ class GroupAlgebra:
         square-and-multiply over the bits of p after the leading one. The
         first bit squares e_i, which is row a[i, i] of the structure
         constants and costs no product; each later bit squares v through
-        `central_mult_matrix(v)`, k^3 operations for k classes; each 1 bit
-        then multiplies by e_i, which is `a[i].T @ v`, k^2 operations. So
-        p = 2 and p = 3 do no k^3 step, and a column costs O(k^3 log p).
+        `central_mult_matrix(v)`, |supp v| * k^2 operations for k classes,
+        at most k^3; each 1 bit then multiplies by e_i, which is
+        `a[i].T @ v`, k^2 operations. So p = 2 and p = 3 do no squaring
+        step, and a column costs O(k^3 log p) at most.
         """
         k = self.center_dim
         p = self.p
@@ -311,7 +317,10 @@ class GroupAlgebra:
     def socle_center(self) -> FpSubspace:
         """soc(ZF_pG) in class coordinates: the annihilator of the radical
         inside the center. The multiplication maps of the radical basis are
-        made one at a time, as `common_nullspace` reads them."""
+        made one at a time, each from the support of its basis vector, and
+        `common_nullspace` applies each to the common kernel left by the
+        ones before, so its eliminations shrink with that kernel and stop
+        once it is zero."""
         maps = (self.central_mult_matrix(row) for row in self.jacobson_center.basis)
         return fplin.common_nullspace(maps, self.p, self.center_dim)
 

@@ -135,10 +135,6 @@ class FpSubspace:
         return cls(p=validate_prime(p), ambient=ambient, basis=_frozen(b), pivots=piv)
 
     @classmethod
-    def zero(cls, p: int, ambient: int) -> "FpSubspace":
-        return cls.span(np.zeros((0, ambient), dtype=np.int64), p, ambient)
-
-    @classmethod
     def from_rref(cls, basis: Array, pivots: Sequence[int], p: int, ambient: int) -> "FpSubspace":
         """Wrap rows already in RREF; the invariants are verified."""
         b = as_matrix(basis, p, ambient)
@@ -198,16 +194,19 @@ def nullspace(m, p: int, cols: int | None = None) -> FpSubspace:
 def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
     """Vectors annihilated by every matrix in `maps` (the full space for none).
 
-    `maps` is read lazily against a running RREF basis of at most `ambient`
-    rows: each matrix is reduced against it, only nonzero residual rows are
-    joined to it, and once the rank reaches `ambient` the rest are not read.
+    The common kernel K starts as the whole space and is refined map by map:
+    each matrix is applied to the basis of K, and when that image is nonzero
+    K becomes the span of the image's kernel in K's coordinates. Each
+    elimination is of the image, with dim K columns, or of a basis of the
+    new kernel, with at most dim K rows; once K is zero the rest of `maps`
+    is not read.
     """
-    seen = FpSubspace.zero(p, ambient)
+    kernel = FpSubspace.from_rref(np.eye(ambient, dtype=np.int64), range(ambient), p, ambient)
     for m in maps:
-        residual = seen.reduce(m)
-        residual = residual[residual.any(axis=1)]
-        if residual.size:
-            seen = FpSubspace.span(np.concatenate((seen.basis, residual)), p, ambient)
-            if seen.dim == ambient:
+        image = as_matrix(m, p, cols=ambient) @ kernel.basis.T % p
+        if image.any():
+            coords = nullspace(image, p, cols=kernel.dim).basis
+            kernel = FpSubspace.span(coords @ kernel.basis, p, ambient)
+            if kernel.dim == 0:
                 break
-    return nullspace(seen.basis, p, cols=ambient)
+    return kernel

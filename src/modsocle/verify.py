@@ -142,6 +142,17 @@ def _subgroup_product(group: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     return generate_subgroup(group, a.members | b.members)
 
 
+def _subgroup_verdict(alg: GroupAlgebra, sub: Subgroup) -> bool:
+    """Whether the socle of the center is an ideal for `sub` as a group: the
+    parent's verdict when `sub` is the whole group, true when it is trivial
+    (its algebra is the field F_p), else a fresh algebra's."""
+    if sub.order == alg.group.order:
+        return alg.soc_is_ideal
+    if sub.order == 1:
+        return True
+    return GroupAlgebra(sub.as_group()[0], alg.p).soc_is_ideal
+
+
 def y_criterion(group: FiniteGroup) -> bool:
     """G' contained in the product of the length-two-class subgroup and the center."""
     y = two_element_class_subgroup(group)
@@ -301,10 +312,9 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
             "nontrivial p'-core inflates the center"))
     for label, sub in (("centralizer_factor", cph), ("residual_factor", residual),
                        ("sylow_subgroup", sylow)):
-        as_group, _ = sub.as_group()
         claims.append(_claim(f"socle_ideal_in_{label}",
-                             GroupAlgebra(as_group, p).soc_is_ideal, True,
-                             dimensions={"order": as_group.order}))
+                             _subgroup_verdict(alg, sub), True,
+                             dimensions={"order": sub.order}))
     return _report(group, p, claims)
 
 
@@ -327,8 +337,11 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
             dimensions={"quotient_order": q.order},
             witness={"normal_order": n_sub.order}))
     core = pprime_core(group, p)
-    bar, _ = quotient(group, core)
-    bar_verdict = GroupAlgebra(bar, p).soc_is_ideal
+    if core.order == 1:
+        bar_verdict = base
+    else:
+        bar, _ = quotient(group, core)
+        bar_verdict = GroupAlgebra(bar, p).soc_is_ideal
     claims.append(_claim(
         "socle_ideal_iff_reynolds_ideal_and_mod_pprime_core",
         base, alg.reynolds_is_ideal and bar_verdict,
@@ -337,13 +350,9 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
         a, b = factors
         if not is_central_product(group, a, b):
             raise HypothesisViolationError("the given subgroups do not form a central product")
-        verdicts = []
-        for sub in (a, b):
-            sub_group, _ = sub.as_group()
-            verdicts.append(GroupAlgebra(sub_group, p).soc_is_ideal)
         claims.append(_claim(
             "central_product_ideal_iff_both_factors", base,
-            verdicts[0] and verdicts[1],
+            _subgroup_verdict(alg, a) and _subgroup_verdict(alg, b),
             witness={"factor_orders": [a.order, b.order]}))
     return _report(group, p, claims)
 

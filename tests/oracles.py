@@ -292,9 +292,8 @@ def commutator_space(alg):
             row[x] = 1
             row[members[0]] -= 1
             rows.append(row)
-    if not rows:
-        return FpSubspace.zero(alg.p, alg.dim)
-    return FpSubspace.span(np.array(rows, dtype=np.int64), alg.p, alg.dim)
+    return FpSubspace.span(np.array(rows, dtype=np.int64).reshape(-1, alg.dim),
+                           alg.p, alg.dim)
 
 
 def left_ideal_closure(alg, space):

@@ -5,13 +5,15 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from modsocle import fplin
 from modsocle.algebra import GroupAlgebra
-from modsocle.catalog import builtin_catalog, builtin_two_groups, wreath_3_3
+from modsocle.catalog import builtin_catalog, builtin_two_groups, symmetric4, wreath_3_3
 from modsocle.constructors import (
     abelian,
     cyclic,
     dihedral_group,
     extraspecial_27_exp3,
+    family,
     heisenberg,
     holomorph_cyclic,
     quaternion8,
@@ -49,6 +51,7 @@ from .oracles import (
     push_to_quotient,
     quotient_annihilator,
     relative_augmentation_ideal,
+    stacked_nullspace,
 )
 
 
@@ -116,6 +119,21 @@ def test_center_basis_counts():
     assert GroupAlgebra(abelian([2, 3]), 2).center_dim == 6
     assert GroupAlgebra(dihedral_group(8), 2).center_dim == 5
     assert GroupAlgebra(holomorph_cyclic(8), 2).center_dim == 11
+
+
+@pytest.mark.parametrize("p", (2, 3, 100003))
+@pytest.mark.parametrize("make", (lambda: dihedral_group(16), symmetric4,
+                                  lambda: holomorph_cyclic(15)))
+def test_central_mult_matrix_matches_the_full_contraction(make, p):
+    alg = GroupAlgebra(make(), p)
+    k = alg.center_dim
+    a = alg.class_structure_constants
+    two = np.zeros(k, dtype=np.int64)
+    two[[0, k - 1]] = (1, p - 1)
+    dense = np.random.default_rng(p).integers(0, p, size=k)
+    for v in (np.zeros(k, dtype=np.int64), *np.eye(k, dtype=np.int64), two, dense):
+        full = np.einsum("i,ijl->lj", v, a) % p
+        assert np.array_equal(alg.central_mult_matrix(v), full)
 
 
 def test_class_structure_constants_match_the_pairwise_count():
@@ -331,6 +349,41 @@ def test_socle_matches_naive_annihilator():
         assert {tuple(v) for v in expected} == {
             tuple(v) for v in __import__("tests.oracles", fromlist=["enumerate_span"])
             .enumerate_span(soc.basis, p, alg.center_dim)}
+
+
+def _stacked_oracle_cases():
+    for name, g in builtin_catalog():
+        for p in (2, 3, 5, 7):
+            if g.order % p == 0:
+                yield name, g, p
+    for kind in ("dihedral", "semidihedral", "quaternion"):
+        yield f"{kind}:128", family(kind, 128), 2
+
+
+def test_socle_matches_the_stacked_oracle():
+    cases = 0
+    for name, g, p in _stacked_oracle_cases():
+        alg = GroupAlgebra(g, p)
+        maps = [alg.central_mult_matrix(r) for r in alg.jacobson_center.basis]
+        assert alg.socle_center == stacked_nullspace(maps, p, alg.center_dim), (name, p)
+        cases += 1
+    assert cases == 62
+
+
+def test_socle_eliminations_stay_within_the_center(monkeypatch):
+    alg = GroupAlgebra(dihedral_group(128), 2)
+    alg.jacobson_center  # computed first: only the socle's eliminations are recorded
+    shapes = []
+    rref = fplin.rref
+
+    def recorded(m, p):
+        shapes.append(np.shape(m))
+        return rref(m, p)
+
+    monkeypatch.setattr(fplin, "rref", recorded)
+    alg.socle_center
+    assert shapes
+    assert max(rows for rows, _ in shapes) <= alg.center_dim
 
 
 def test_socle_holomorph_equals_radical():

@@ -1,5 +1,7 @@
 """Exact F_p linear algebra against enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,23 @@ def test_common_nullspace_matches_the_stacked_oracle(case, full_rank_early):
     expected = stacked_nullspace(maps + tail, p, n)
     assert common_nullspace(maps + tail, p, n) == expected
     assert common_nullspace(lazily(), p, n) == expected
+
+
+def test_common_nullspace_is_exact_at_the_int64_bound():
+    n = 8
+    p = math.isqrt(((1 << 63) - 1) // n) + 1
+    while (p - 1) ** 2 * n >= 1 << 63 or not fplin.is_prime(p):
+        p -= 1
+    rng = np.random.default_rng(5)
+    # three rank-2 maps: the kernel shrinks 8 -> 6 -> 4 -> 2
+    maps = [rng.integers(p - 1000, p, size=(2, n)) for _ in range(3)]
+    space = common_nullspace(maps, p, n)
+    assert space == stacked_nullspace(maps, p, n)
+    assert space.dim == 2
+    for m in maps:
+        for v in space.basis:
+            assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in m)
+
 
 small_matrices = st.integers(2, 3).flatmap(
     lambda p: st.tuples(

@@ -181,6 +181,26 @@ def test_decomposition_not_applicable_when_socle_not_ideal():
     assert not report.claims[0].applicable
 
 
+def test_whole_and_trivial_factors_reuse_known_verdicts(monkeypatch):
+    # the trivial group's algebra is the field F_p, whose socle is an ideal
+    assert GroupAlgebra(cyclic(1), 2).soc_is_ideal
+    assert GroupAlgebra(cyclic(1), 3).soc_is_ideal
+    made = []
+    init = GroupAlgebra.__init__
+
+    def counted(self, group, p):
+        made.append(group.order)
+        init(self, group, p)
+
+    monkeypatch.setattr(GroupAlgebra, "__init__", counted)
+    # D16 at p=2: the Sylow subgroup and C_P(H) are all of G, O^p(G) and
+    # the p'-core are trivial, so no algebra beyond the parent's is needed
+    g = dihedral_group(16)
+    assert verify_central_decomposition(g, 2).all_agree
+    assert verify_quotient_and_product_closure(g, 2).all_agree
+    assert made == [16, 16]
+
+
 # -- quotient and central product closure ----------------------------------------------
 
 def test_closure_d16_all_normal_subgroups():
