@@ -327,12 +327,15 @@ class GroupAlgebra:
     @cached_property
     def reynolds_center(self) -> FpSubspace:
         """Span of the p'-section sums, in class coordinates."""
-        rows = []
-        for section in pprime_sections(self.group, self.p):
-            vec = np.zeros(self.center_dim, dtype=np.int64)
-            vec[np.unique(self.classes.class_of[list(section)])] = 1
-            rows.append(vec)
-        return FpSubspace.span(np.array(rows, dtype=np.int64), self.p, self.center_dim)
+        class_of = self.classes.class_of
+        sections = pprime_sections(self.group, self.p)
+        rows = np.zeros((len(sections), self.center_dim), dtype=np.int64)
+        for r, section in enumerate(sections):
+            rows[r, class_of[list(section)]] = 1
+        # Sections are disjoint unions of classes, sorted by least member, so
+        # each row leads with the class of that member and the rows are RREF.
+        pivots = [class_of[section[0]] for section in sections]
+        return FpSubspace.from_rref(rows, pivots, self.p, self.center_dim)
 
     @cached_property
     def socle_fg(self) -> FpSubspace:
@@ -360,10 +363,11 @@ class GroupAlgebra:
     def embed_central(self, space: FpSubspace) -> FpSubspace:
         if space.ambient != self.center_dim:
             raise DimensionMismatchError("not a class-coordinate subspace")
-        rows = np.array([self.expand_central(v) for v in space.basis], dtype=np.int64)
-        if rows.size == 0:
-            rows = np.zeros((0, self.dim), dtype=np.int64)
-        return FpSubspace.span(rows, self.p, self.dim)
+        # Classes are ordered by least member, so an RREF row expands to an
+        # RREF row that leads at the representative of its pivot class.
+        reps = self.classes.representatives
+        return FpSubspace.from_rref(space.basis[:, self.classes.class_of],
+                                    [reps[c] for c in space.pivots], self.p, self.dim)
 
     def subgroup_sum_ideal(self, sub: Subgroup) -> FpSubspace:
         """S+ . F_pG: the span of the right-coset indicator vectors of S."""

@@ -313,8 +313,7 @@ def cmd_census(args) -> int:
     else:
         entries, catalog_id, tags = builtin_catalog(), "builtin", ()
     try:
-        summary = run_census(entries, args.prime, catalog_id=catalog_id, tags=tags,
-                             parallel=args.parallel)
+        summary = run_census(entries, args.prime, catalog_id=catalog_id, tags=tags)
     except CensusMismatchError as exc:
         print(f"census assertion failed: {exc}", file=sys.stderr)
         return 1
@@ -350,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--catalog", default=os.environ.get("MODSOCLE_CATALOG"),
                     help="directory of group files (env MODSOCLE_CATALOG); "
                          "defaults to the builtin catalog")
-    ce.add_argument("--parallel", type=_positive_int,
-                    default=os.environ.get("MODSOCLE_PARALLEL", "1"),
-                    help="worker processes, at most one per CPU (env MODSOCLE_PARALLEL)")
     ce.set_defaults(func=cmd_census)
     return parser
 

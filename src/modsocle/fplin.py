@@ -196,17 +196,21 @@ def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
 
     The common kernel K starts as the whole space and is refined map by map:
     each matrix is applied to the basis of K, and when that image is nonzero
-    K becomes the span of the image's kernel in K's coordinates. Each
-    elimination is of the image, with dim K columns, or of a basis of the
-    new kernel, with at most dim K rows; once K is zero the rest of `maps`
-    is not read.
+    K becomes the image's kernel in K's coordinates, mapped back through
+    K's basis. The only eliminations are the two inside `nullspace`, of the
+    image (dim K columns) and of its kernel basis (at most dim K rows): a
+    product of two RREF bases is already RREF, its pivots those of K's
+    basis picked out by the kernel's. Once K is zero the rest of `maps` is
+    not read.
     """
     kernel = FpSubspace.from_rref(np.eye(ambient, dtype=np.int64), range(ambient), p, ambient)
     for m in maps:
         image = as_matrix(m, p, cols=ambient) @ kernel.basis.T % p
         if image.any():
-            coords = nullspace(image, p, cols=kernel.dim).basis
-            kernel = FpSubspace.span(coords @ kernel.basis, p, ambient)
+            coords = nullspace(image, p, cols=kernel.dim)
+            kernel = FpSubspace.from_rref(
+                coords.basis @ kernel.basis % p,
+                [kernel.pivots[q] for q in coords.pivots], p, ambient)
             if kernel.dim == 0:
                 break
     return kernel

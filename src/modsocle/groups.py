@@ -4,8 +4,8 @@ Elements are indices 0..n-1; the table is a dense numpy array so that one
 multiplication is one lookup, and a whole set of products (a subgroup
 conjugated by many elements, the powers of every element) is one indexing
 step into it. Groups and subgroups are immutable after
-construction and safe to share between workers; a group only fills in its
-memo of the subgroups computed from it. Every operation here is a pure
+construction; a group only fills in its memo of the subgroups computed
+from it. Every operation here is a pure
 function of its inputs with deterministic (smallest-index) tie-breaking.
 """
 

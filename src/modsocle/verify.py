@@ -8,7 +8,6 @@ falsified statement, never an acceptable report state.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -255,9 +254,12 @@ def verify_sufficient_conditions(group: FiniteGroup, p: int) -> VerdictReport:
     hyp_central = der.members <= z_core.members
     hyp_two = False
     if p == 2:
-        core_group, core_members = core.as_group()
-        y_local = two_element_class_subgroup(core_group)
-        image = {core_members[m] for m in y_local.members} | z_core.members
+        if core.order == group.order:
+            y_core = two_element_class_subgroup(group).members
+        else:
+            core_group, core_members = core.as_group()
+            y_core = {core_members[m] for m in two_element_class_subgroup(core_group).members}
+        image = y_core | z_core.members
         hyp_two = der.members <= generate_subgroup(group, image).members
     if not hyp_central and not hyp_two:
         claims = [_not_applicable("sufficient_condition_implies_socle_ideal",
@@ -416,34 +418,17 @@ def census_record(name: str, group: FiniteGroup, p: int) -> dict:
     }
 
 
-def _census_worker(args) -> dict:
-    name, group, p = args
-    return census_record(name, group, p)
-
-
 def run_census(entries: Iterable[tuple[str, FiniteGroup]], p: int,
-               catalog_id: str = "builtin", tags: Sequence[str] = (),
-               parallel: int = 1) -> CensusSummary:
+               catalog_id: str = "builtin", tags: Sequence[str] = ()) -> CensusSummary:
     """Census of the soc/Reynolds predicates over a catalog.
 
     A catalog tagged ``order32-complete`` must reproduce the known split of
     the 51 groups of order 32 (7 abelian, 26 of class exactly two, 13 more
     satisfying the length-two-class criterion); a mismatch raises
     :class:`CensusMismatchError`.
-
-    `parallel` worker processes are used, but never more than there are
-    groups or CPUs: a process pool starts all its workers at once.
     """
-    work = sorted(((name, group, p) for name, group in entries),
-                  key=lambda w: (w[1].order, w[0]))
-    workers = min(parallel, len(work), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_census_worker, work))
-    else:
-        records = [_census_worker(w) for w in work]
+    records = [census_record(name, group, p)
+               for name, group in sorted(entries, key=lambda e: (e[1].order, e[0]))]
     counts = {
         "abelian": sum(r["abelian"] for r in records),
         "class_exactly_two": sum(r["nilpotency_class"] == 2 for r in records),

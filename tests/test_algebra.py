@@ -35,6 +35,7 @@ from modsocle.groups import (
     normal_subgroups,
     p_core,
     pprime_core,
+    pprime_sections,
     sylow_subgroup,
 )
 
@@ -440,6 +441,24 @@ def test_reynolds_inside_socle_and_annihilates_radical():
             for r in rey.basis:
                 for b in alg.jacobson_center.basis:
                     assert not central_multiply(alg, r, b).any()
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_bases_built_in_rref_equal_the_span_of_their_rows(p):
+    # reynolds_center and embed_central write their RREF bases down directly
+    for name, g in builtin_catalog():
+        alg = GroupAlgebra(g, p)
+        k, class_of = alg.center_dim, alg.classes.class_of
+        sections = pprime_sections(g, p)
+        rows = np.zeros((len(sections), k), dtype=np.int64)
+        for r, section in enumerate(sections):
+            rows[r, class_of[list(section)]] = 1
+        assert alg.reynolds_center == FpSubspace.span(rows, p, k), (name, p)
+        for space in (alg.reynolds_center, alg.socle_center, alg.jacobson_center,
+                      FpSubspace.span(np.zeros((0, k), dtype=np.int64), p, k)):
+            expanded = np.array([alg.expand_central(v) for v in space.basis],
+                                dtype=np.int64).reshape(-1, alg.dim)
+            assert alg.embed_central(space) == FpSubspace.span(expanded, p, alg.dim), (name, p)
 
 
 # -- ideal tests ------------------------------------------------------------------

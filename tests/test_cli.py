@@ -249,18 +249,6 @@ def test_census_deterministic(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("argv, env", [(["--parallel", "0"], None),
-                                       (["--parallel", "-3"], None),
-                                       ([], "many")])
-def test_census_parallel_rejects_bad_values(monkeypatch, capsys, argv, env):
-    if env is not None:
-        monkeypatch.setenv("MODSOCLE_PARALLEL", env)
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--prime", "2", *argv])
-    assert exc.value.code == 2
-    assert "--parallel" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", [["analyze", "dihedral:8"], ["verify", "--suite", "B"],
                                      ["census"]])
 @pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
@@ -288,7 +276,6 @@ GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
                                   ("census", "--prime", "3")])
 def test_verify_and_census_stdout_match_recorded_digests(capsys, monkeypatch, argv):
     monkeypatch.delenv("MODSOCLE_CATALOG", raising=False)
-    monkeypatch.delenv("MODSOCLE_PARALLEL", raising=False)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli"][" ".join(argv)]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -150,6 +150,27 @@ def test_common_nullspace_matches_the_stacked_oracle(case, full_rank_early):
     assert common_nullspace(lazily(), p, n) == expected
 
 
+def test_common_nullspace_eliminates_twice_per_map_that_shrinks_the_kernel(monkeypatch):
+    p, n = 5, 8
+    rng = np.random.default_rng(3)
+    shrinking = [rng.integers(0, p, size=(2, n)) for _ in range(3)]
+    # the zero map and a map already applied leave the kernel as it is
+    maps = [np.zeros((2, n), dtype=np.int64), shrinking[0], shrinking[1],
+            shrinking[0], shrinking[2]]
+    expected = stacked_nullspace(maps, p, n)
+    calls = []
+    rref_ = fplin.rref
+
+    def counted(m, q):
+        calls.append(m)
+        return rref_(m, q)
+
+    monkeypatch.setattr(fplin, "rref", counted)
+    assert common_nullspace(maps, p, n) == expected
+    assert expected.dim == 2
+    assert len(calls) == 2 * len(shrinking)
+
+
 def test_common_nullspace_is_exact_at_the_int64_bound():
     n = 8
     p = math.isqrt(((1 << 63) - 1) // n) + 1

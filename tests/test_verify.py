@@ -13,6 +13,7 @@ from modsocle.catalog import (
     builtin_catalog,
     builtin_two_groups,
     central_product_d8_d8,
+    symmetric4,
     wreath_3_3,
 )
 from modsocle.cli import analysis_document
@@ -27,6 +28,7 @@ from modsocle.constructors import (
 )
 from modsocle.errors import CensusMismatchError, HypothesisViolationError
 from modsocle.groups import (
+    Subgroup,
     all_subgroups,
     center,
     derived_subgroup,
@@ -34,6 +36,7 @@ from modsocle.groups import (
     is_central_product,
     normal_subgroups,
     quotient,
+    two_element_class_subgroup,
 )
 from modsocle.verify import (
     census_record,
@@ -145,6 +148,30 @@ def test_sufficient_conditions_zero_disagreements_catalog():
             if g.order > 64:
                 continue
             assert verify_sufficient_conditions(g, p).all_agree
+
+
+def test_sufficient_conditions_copy_the_2_core_only_when_it_is_proper(monkeypatch):
+    # a 2-group is its own 2-core, and reindexing it changes no index
+    two_groups = [g for _, g in builtin_two_groups(64)]
+    for g in two_groups:
+        copy, members = g.full_subgroup.as_group()
+        assert members == tuple(range(g.order))
+        assert (two_element_class_subgroup(copy).members
+                == two_element_class_subgroup(g).members), g.name
+    copied = []
+    as_group = Subgroup.as_group
+
+    def counted(self):
+        copied.append(self.order)
+        return as_group(self)
+
+    monkeypatch.setattr(Subgroup, "as_group", counted)
+    for g in two_groups:
+        verify_sufficient_conditions(g, 2)
+    assert copied == []
+    # S4 at p=2: the 2-core is the Klein four-group, a proper subgroup
+    verify_sufficient_conditions(symmetric4(), 2)
+    assert copied == [4]
 
 
 # -- central decomposition -----------------------------------------------------------
@@ -319,41 +346,6 @@ def test_census_complete_tag_compares_the_y_count_only_at_two(monkeypatch, prime
     with pytest.raises(CensusMismatchError):
         run_census(builtin_two_groups(), prime, catalog_id="two-groups",
                    tags=("order32-complete",))
-
-
-def test_census_parallel_matches_serial():
-    entries = builtin_two_groups(16)
-    serial = run_census(entries, 2, catalog_id="x")
-    parallel = run_census(entries, 2, catalog_id="x", parallel=2)
-    assert serial.to_dict() == parallel.to_dict()
-
-
-def test_census_workers_capped_by_groups_and_cpus(monkeypatch):
-    import concurrent.futures
-
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    entries = builtin_two_groups(4)
-    serial = run_census(entries, 2).to_dict()
-    for cpus, expected in ((64, len(entries)), (2, 2), (1, None), (None, None)):
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        started.clear()
-        assert run_census(entries, 2, parallel=100000).to_dict() == serial
-        assert started == ([] if expected is None else [expected])
 
 
 def test_report_serialization_round_trip():
