@@ -494,7 +494,8 @@ def frattini_subgroup(group: FiniteGroup) -> Subgroup:
 
     For p-groups this is the closure of commutators and p-th powers. Any
     other group intersects the maximal subgroups of the full lattice from
-    :func:`all_subgroups`, well under a second at order 216.
+    :func:`all_subgroups`, about 0.03 s for Hol(C15), D96 or
+    SmallGroup(216, 86).
     """
     n = group.order
     p = next((f for f in range(2, n + 1) if n % f == 0), None)  # least prime factor
@@ -859,30 +860,63 @@ def _compatible_derived_iso(g1, g2, d1: Subgroup, d2: Subgroup,
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, sorted by order and then by members.
 
-    Breadth-first search from the trivial subgroup: each subgroup H found
-    is extended to <H, g> by incremental closure, for one g per double
-    coset HgH outside H, since <H, g> = <H, hgh'> for h, h' in H. Exhaustive
-    and deterministic; the 118 subgroups of SmallGroup(216, 86) take well
-    under a second.
+    Breadth-first search over conjugacy classes of subgroups, as in the
+    cyclic-extension lattice of Neubüser (Numer. Math. 2, 1960) and the
+    lattice by classes of Hulpke (J. Symbolic Comput. 27, 1999). `seen`
+    holds whole classes, and the frontier one representative H per class
+    with its normalizer N = N_G(H), read off the conjugates of H by every
+    element. For each g outside H not yet covered, <H, g> is closed by
+    :func:`_closure`, and the N-conjugates of the double coset HgH are
+    marked covered: for h, h' in H and n in N,
+    <H, n hgh' n^-1> = n<H, g>n^-1 is in the class of <H, g>. A subgroup
+    not in `seen` starts a new class: all its conjugates join `seen` and
+    it joins the next frontier.
+
+    Exhaustive, with no solvability assumed. The trivial group is found.
+    Any other K is <H, g> for a maximal subgroup H of K and any g in K
+    outside H. By induction on the order H was found, so H = xRx^-1 for a
+    representative R that was extended, and x^-1Kx = <R, x^-1gx>. Either
+    x^-1gx was closed, or it is n ryr' n^-1 for some y that was closed, r,
+    r' in R and n in N_G(R), and then <R, x^-1gx> = n<R, y>n^-1. Both ways
+    a conjugate of K was closed, so K's class is in `seen`.
+
+    Cost per class: one |G| x |H| conjugation for N and one transversal of
+    G/N for the conjugates, then for each g closed an |N| x |G| covering
+    step and one `_closure`. D96 takes 200 closures for its 134 subgroups
+    in 28 classes.
     """
     t = group.table
+    everything = np.arange(group.order)
+    seen: set[frozenset[int]] = set()
+
+    def add_class(members: frozenset[int]) -> np.ndarray:
+        """Put every conjugate of `members` in `seen`; return the normalizer."""
+        sub = np.fromiter(members, dtype=np.int64, count=len(members))
+        inside = np.zeros(group.order, dtype=bool)
+        inside[sub] = True
+        conj = _conjugates(group, sub, everything)
+        norm = everything[inside[conj].all(axis=1)]
+        # x H x^-1 depends only on the left coset xN; keep one x per coset.
+        one_per_coset = np.unique(t[:, norm].min(axis=1), return_index=True)[1]
+        seen.update(frozenset(row) for row in conj[one_per_coset].tolist())
+        return norm
+
     trivial = frozenset({group.identity})
-    seen = {trivial}
-    frontier = [trivial]
+    frontier = [(trivial, add_class(trivial))]
     while frontier:
         nxt = []
-        for members in frontier:
+        for members, norm in frontier:
             sub = np.fromiter(members, dtype=np.int64, count=len(members))
             covered = np.zeros(group.order, dtype=bool)
             covered[sub] = True
             for g in range(group.order):
                 if covered[g]:
                     continue
-                covered[t[t[sub, g][:, None], sub]] = True
+                double_coset = np.unique(t[t[sub, g][:, None], sub])
+                covered[_conjugates(group, double_coset, norm)] = True
                 bigger = _closure(t, members, (g,))
                 if bigger not in seen:
-                    seen.add(bigger)
-                    nxt.append(bigger)
+                    nxt.append((bigger, add_class(bigger)))
         frontier = nxt
     subs = [group.subgroup(m) for m in seen]
     subs.sort(key=lambda s: (s.order, s.sorted_members))

@@ -22,6 +22,7 @@ from modsocle.errors import (
 )
 from modsocle.fplin import FpSubspace, as_matrix, nullspace
 from modsocle.groups import (
+    _closure,
     centralizer,
     commutator_subgroup,
     derived_subgroup,
@@ -244,6 +245,34 @@ def stacked_nullspace(maps, p: int, ambient: int) -> FpSubspace:
     if not mats:
         return FpSubspace.span(np.eye(ambient, dtype=np.int64), p, ambient)
     return nullspace(np.vstack(mats), p, cols=ambient)
+
+
+def double_coset_lattice(group) -> list[tuple[int, tuple[int, ...]]]:
+    """Every subgroup as (order, sorted members), sorted, by a breadth-first
+    search that extends each subgroup H found to <H, g> for one g per double
+    coset HgH outside H, since <H, g> = <H, hgh'> for h, h' in H. It works up
+    to equality, not up to conjugacy, so it closes about ten times as many
+    subgroups as the library's search by classes."""
+    t = group.table
+    trivial = frozenset({group.identity})
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for members in frontier:
+            sub = np.fromiter(members, dtype=np.int64, count=len(members))
+            covered = np.zeros(group.order, dtype=bool)
+            covered[sub] = True
+            for g in range(group.order):
+                if covered[g]:
+                    continue
+                covered[t[t[sub, g][:, None], sub]] = True
+                bigger = _closure(t, members, (g,))
+                if bigger not in seen:
+                    seen.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted((len(m), tuple(sorted(m))) for m in seen)
 
 
 # -- reference implementations the library does not carry ----------------------
