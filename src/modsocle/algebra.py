@@ -27,7 +27,6 @@ from .fplin import FpSubspace
 from .groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     derived_subgroup,
     generate_subgroup,
     hall_complement,
@@ -187,26 +186,35 @@ class GroupAlgebra:
     # -- class coordinates --------------------------------------------------
 
     @cached_property
-    def class_structure_constants(self) -> np.ndarray:
-        """a[i, j, l] with (class_i)+ (class_j)+ = sum_l a[i, j, l] (class_l)+, mod p:
-        the pairs (x, y) in class i x class j with xy in class l, over |class l|."""
-        cls = self.classes
-        k, c = cls.count, cls.class_of
-        index = (c[:, None] * k + c[None, :]) * k + c[self.group.table]
-        a = np.bincount(index.ravel(), minlength=k ** 3).reshape(k, k, k)
-        a //= np.array(cls.sizes(), dtype=np.int64)
-        a %= self.p
-        return a
+    def _class_index(self) -> np.ndarray:
+        """|G| x k: entry [x, l] is the class of x^-1 r_l, for r_l the
+        representative of class l. The coefficient of u . w at r_l is
+        sum_x u(x) w(x^-1 r_l), so a product reads the rows of supp u only."""
+        g = self.group
+        reps = np.array(self.classes.representatives, dtype=np.int64)
+        return self.classes.class_of[g.table[np.ix_(g.inverse, reps)]]
+
+    def _support_rows(self, vec) -> tuple[np.ndarray, np.ndarray]:
+        """F_pG coefficients of central `vec` on its support, and the index rows there."""
+        coeffs = self.expand_central(vec)
+        support = coeffs.nonzero()[0]
+        return coeffs[support], self._class_index.take(support, axis=0)
 
     def central_mult_matrix(self, vec) -> np.ndarray:
         """Matrix of multiplication by the central element with class coords `vec`.
 
-        Only the structure constants a[i] of the classes i in the support of
-        `vec` are contracted: |supp vec| * k^2 operations for k classes."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        support = np.flatnonzero(v)
-        a = self.class_structure_constants
-        return np.einsum("i,ijl->lj", v[support], a[support]) % self.p
+        Entry (l, j) sums vec(x) over the x in supp vec (F_pG coordinates)
+        with x^-1 r_l in class j: one scatter of |supp vec| * k cells."""
+        coeffs, rows = self._support_rows(vec)
+        k = self.center_dim
+        out = np.zeros((k, k), dtype=np.int64)
+        np.add.at(out, (np.arange(k), rows), coeffs[:, None])
+        return out % self.p
+
+    def _central_product(self, u, w) -> np.ndarray:
+        """Class coordinates of central u . w: |supp u| * k operations."""
+        coeffs, rows = self._support_rows(u)
+        return coeffs @ w[rows] % self.p
 
     def expand_central(self, vec) -> np.ndarray:
         """Class coordinates -> F_pG coefficient vector."""
@@ -223,27 +231,19 @@ class GroupAlgebra:
         linear, so its iterate is a matrix power; the kernel is exactly the
         nilradical, which for the center equals the Jacobson radical.
 
-        Column i is e_i^p for the class sum e_i, by left-to-right
-        square-and-multiply over the bits of p after the leading one. The
-        first bit squares e_i, which is row a[i, i] of the structure
-        constants and costs no product; each later bit squares v through
-        `central_mult_matrix(v)`, |supp v| * k^2 operations for k classes,
-        at most k^3; each 1 bit then multiplies by e_i, which is
-        `a[i].T @ v`, k^2 operations. So p = 2 and p = 3 do no squaring
-        step, and a column costs O(k^3 log p) at most.
+        Column i is e_i^p for the class sum e_i, by square-and-multiply over
+        the bits of p after the leading one, each step a `_central_product`
+        of |supp| * k operations. So a column costs O(|G| k log p) at most.
         """
         k = self.center_dim
         p = self.p
-        a = self.class_structure_constants
-        bits = bin(p)[3:]
         frob = np.empty((k, k), dtype=np.int64)
-        for i in range(k):
-            v = a[i, i]
-            for j, bit in enumerate(bits):
-                if j:
-                    v = self.central_mult_matrix(v) @ v % p
+        for i, e in enumerate(np.eye(k, dtype=np.int64)):
+            v = e
+            for bit in bin(p)[3:]:
+                v = self._central_product(v, v)
                 if bit == "1":
-                    v = a[i].T @ v % p
+                    v = self._central_product(e, v)
             frob[:, i] = v
         m = 0
         q = 1
@@ -482,8 +482,10 @@ class GroupAlgebra:
 
         Exists for p-groups of nilpotency class exactly two in odd
         characteristic; built from a nontrivial homomorphism of the derived
-        subgroup onto the prime field. Every stated property is checked by
-        exhaustive enumeration before returning.
+        subgroup onto the prime field. Every stated property is checked
+        before returning; annihilation on <x>+ for each x in G' of order p
+        only, which suffices: a nontrivial S <= G' holds such an x, S+ is
+        sum_t t . <x>+ over a transversal t of <x> in S, and y is central.
         """
         g = self.group
         p = self.p
@@ -518,11 +520,9 @@ class GroupAlgebra:
             raise DualRouteDisagreementError("witness is not central")
         if self.derived_sum_space.contains(y.coeffs):
             raise DualRouteDisagreementError("witness lies in the derived coset-sum space")
-        for sub in all_subgroups(dgroup):
-            if sub.order == 1:
-                continue
-            parent_members = [dmembers[m] for m in sub.sorted_members]
-            if not (y * self.subset_sum(parent_members)).is_zero():
+        for x in np.flatnonzero(dgroup.element_orders == p):
+            cyclic_sum = self.subset_sum(dmembers[dgroup.power(int(x), e)] for e in range(p))
+            if not (y * cyclic_sum).is_zero():
                 raise DualRouteDisagreementError(
-                    f"witness fails to annihilate a subgroup sum of order {sub.order}")
+                    "witness fails to annihilate the sum of a subgroup of order p")
         return y

@@ -206,7 +206,7 @@ def naive_frobenius_power(alg) -> np.ndarray:
     column e_i^p built by p - 1 multiplications by the class sum e_i; its
     kernel is the radical of the center."""
     k, p = alg.center_dim, alg.p
-    a = alg.class_structure_constants
+    a = naive_class_structure_constants(alg)
     frob = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
         v = np.zeros(k, dtype=np.int64)

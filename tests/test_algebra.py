@@ -1,6 +1,8 @@
 """Group algebra operations: center, radical, socle, Reynolds ideal, quotients."""
 
+import tracemalloc
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ def test_center_basis_counts():
 def test_central_mult_matrix_matches_the_full_contraction(make, p):
     alg = GroupAlgebra(make(), p)
     k = alg.center_dim
-    a = alg.class_structure_constants
+    a = naive_class_structure_constants(alg)
     two = np.zeros(k, dtype=np.int64)
     two[[0, k - 1]] = (1, p - 1)
     dense = np.random.default_rng(p).integers(0, p, size=k)
@@ -137,12 +139,42 @@ def test_central_mult_matrix_matches_the_full_contraction(make, p):
         assert np.array_equal(alg.central_mult_matrix(v), full)
 
 
-def test_class_structure_constants_match_the_pairwise_count():
+def test_class_sum_maps_match_the_pairwise_count():
     cases = [(g, p) for _, g in builtin_catalog() for p in (2, 3)]
     for g, p in cases + [(dihedral_group(512), 2)]:
         alg = GroupAlgebra(g, p)
-        assert np.array_equal(alg.class_structure_constants,
-                              naive_class_structure_constants(alg)), (g.name, p)
+        a = naive_class_structure_constants(alg)
+        for i, e in enumerate(np.eye(alg.center_dim, dtype=np.int64)):
+            assert np.array_equal(alg.central_mult_matrix(e), a[i].T), (g.name, p, i)
+
+
+def test_central_products_are_exact_at_the_int64_bound():
+    # the largest prime with (p-1)^2 * 24 < 2^63: a product of two dense
+    # central elements of F_p[S4] sums 24 products of residues near the bound
+    primes = (q for q in range(isqrt((2 ** 63 - 1) // 24) + 1, 2, -1) if fplin.is_prime(q))
+    p = next(q for q in primes if (q - 1) ** 2 * 24 < 2 ** 63)
+    with pytest.raises(ModulusTooLargeError):
+        GroupAlgebra(symmetric4(), next(q for q in range(p + 1, 2 * p) if fplin.is_prime(q)))
+    alg = GroupAlgebra(symmetric4(), p)
+    k = alg.center_dim
+    dense = np.full(k, p - 1, dtype=np.int64)
+    full = np.einsum("i,ijl->lj", dense, naive_class_structure_constants(alg)) % p
+    assert np.array_equal(alg.central_mult_matrix(dense), full)
+    assert np.array_equal(alg._central_product(dense, dense), full @ dense % p)
+    assert alg.jacobson_center.dim == 0
+
+
+def test_radical_and_socle_allocate_no_cube_of_the_class_count():
+    # C2^8 has k = 256 classes: a k x k x k int64 array would take 128 MiB
+    alg = GroupAlgebra(abelian([2] * 8), 2)
+    tracemalloc.start()
+    try:
+        alg.jacobson_center
+        alg.socle_center
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 # -- relative augmentation ideal ----------------------------------------------

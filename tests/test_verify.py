@@ -432,7 +432,7 @@ def test_census_record_computes_the_lower_central_series_once(monkeypatch):
 
 def test_no_algebra_outlives_the_call_that_made_it(monkeypatch):
     # A report holding an algebra of order 512 alive while the next one runs
-    # would add its class structure constants to the peak memory.
+    # would add its caches to the peak memory.
     made = _record_algebras(monkeypatch)
     census_record("W33", wreath_3_3(), 3)
     analysis_document(dihedral_group(16), 2)
