@@ -144,7 +144,6 @@ class GroupAlgebra:
         self.group = group
         self.p = fplin.validate_prime(p)
         fplin.check_modulus(self.p, group.order)
-        self._quotient_cache: dict[frozenset, tuple["GroupAlgebra", np.ndarray]] = {}
 
     def __repr__(self):
         return f"GroupAlgebra(F_{self.p}[{self.group.name}])"
@@ -408,11 +407,9 @@ class GroupAlgebra:
     # -- quotient maps -------------------------------------------------------
 
     def quotient_algebra(self, n_sub: Subgroup) -> tuple["GroupAlgebra", np.ndarray]:
-        key = n_sub.members
-        if key not in self._quotient_cache:
-            q, proj = quotient(self.group, n_sub)
-            self._quotient_cache[key] = (GroupAlgebra(q, self.p), proj)
-        return self._quotient_cache[key]
+        """F_p(G/N) over the group's one memoized quotient, plus the projection."""
+        q, proj = quotient(self.group, n_sub)
+        return GroupAlgebra(q, self.p), proj
 
     # -- the two-route verdicts ----------------------------------------------
 

@@ -180,15 +180,23 @@ class FpSubspace:
 
 
 def nullspace(m, p: int, cols: int | None = None) -> FpSubspace:
-    """Right kernel {v : m v = 0} as an RREF subspace."""
+    """Right kernel {v : m v = 0} as an RREF subspace, by one elimination.
+
+    The columns are eliminated in reverse order. In those coordinates the
+    kernel vector of a free column f has 1 at f, 0 at every other free
+    column, and its other nonzero entries at pivots before f. Read with its
+    columns reversed, its leading 1 sits at n-1-f, and at n-1-f every other
+    kernel vector is 0; so the vectors, rows reversed too, are already the
+    RREF basis of the kernel.
+    """
     a = as_matrix(m, p, cols=cols)
     n = a.shape[1]
-    b, pivots = rref(a, p)
+    b, pivots = rref(a[:, ::-1], p)
     free = [c for c in range(n) if c not in set(pivots)]
     vecs = np.zeros((len(free), n), dtype=np.int64)
     vecs[np.arange(len(free)), free] = 1
     vecs[:, list(pivots)] = -b[:, free].T % p
-    return FpSubspace.span(vecs, p, n)
+    return FpSubspace.from_rref(vecs[::-1, ::-1], [n - 1 - f for f in reversed(free)], p, n)
 
 
 def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
@@ -197,11 +205,10 @@ def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
     The common kernel K starts as the whole space and is refined map by map:
     each matrix is applied to the basis of K, and when that image is nonzero
     K becomes the image's kernel in K's coordinates, mapped back through
-    K's basis. The only eliminations are the two inside `nullspace`, of the
-    image (dim K columns) and of its kernel basis (at most dim K rows): a
-    product of two RREF bases is already RREF, its pivots those of K's
-    basis picked out by the kernel's. Once K is zero the rest of `maps` is
-    not read.
+    K's basis. The only elimination is the one inside `nullspace`, of the
+    image (dim K columns): a product of two RREF bases is already RREF, its
+    pivots those of K's basis picked out by the kernel's. Once K is zero
+    the rest of `maps` is not read.
     """
     kernel = FpSubspace.from_rref(np.eye(ambient, dtype=np.int64), range(ambient), p, ambient)
     for m in maps:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     NotNilpotentError,
     NotNormalError,
 )
+from .fplin import is_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,22 +54,11 @@ class PDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupIso:
-    """Isomorphism between two groups, stored as an image table."""
-
-    source: "FiniteGroup"
-    target: "FiniteGroup"
-    mapping: np.ndarray
-
-    def __call__(self, g: int) -> int:
-        return int(self.mapping[g])
-
-
-@dataclass(frozen=True, eq=False)
 class IsoclinismWitness:
-    """Witnessing pair of maps for an isoclinism of two groups."""
+    """Witnessing pair of maps for an isoclinism of two groups; the first is
+    an image array between the central quotients that :func:`quotient` builds."""
 
-    central_quotient_iso: GroupIso
+    central_quotient_iso: np.ndarray
     derived_iso: dict[int, int]
 
 
@@ -459,8 +449,9 @@ def _memoized(fn):
     """Keep `fn(group, *args)` on the group, computed once per argument tuple.
 
     Used for the facts that are deterministic functions of a group and
-    a prime (the characteristic subgroups, a Sylow subgroup, a Hall
-    complement, the nilpotency class), so every caller shares one result.
+    a prime or a subgroup (the characteristic subgroups, a Sylow subgroup,
+    a Hall complement, the lower central series, a quotient), so every
+    caller shares one result.
     A call that raises stores nothing.
     """
     @wraps(fn)
@@ -492,17 +483,19 @@ def _power_map(group: FiniteGroup, k: int) -> np.ndarray:
 def frattini_subgroup(group: FiniteGroup) -> Subgroup:
     """Intersection of the maximal subgroups.
 
-    For p-groups this is the closure of commutators and p-th powers. Any
-    other group intersects the maximal subgroups of the full lattice from
-    :func:`all_subgroups`, about 0.03 s for Hol(C15), D96 or
-    SmallGroup(216, 86).
+    A nilpotent group is the direct product of its Sylow subgroups P, and
+    Phi(G) is the product of the Phi(P) = P'P^p. With r the product of the
+    primes dividing |G|, g^r has P-component g_P^r = (g_P^(r/p))^p, and
+    x -> x^(r/p) permutes P, so the r-th powers generate the product of the
+    P^p and Phi(G) = <G', g^r>. Any other group intersects the
+    maximal subgroups of the full lattice from :func:`all_subgroups`, about
+    0.03 s for Hol(C15), D96 or SmallGroup(216, 86).
     """
     n = group.order
-    p = next((f for f in range(2, n + 1) if n % f == 0), None)  # least prime factor
-    if p is not None and is_p_group(n, p):
-        derived = derived_subgroup(group)
-        powers = _power_map(group, p)
-        return generate_subgroup(group, set(derived.members) | set(int(v) for v in powers))
+    if lower_central_series(group)[-1].order == 1:
+        r = prod(f for f in range(2, n + 1) if n % f == 0 and is_prime(f))
+        powers = _power_map(group, r)
+        return generate_subgroup(group, derived_subgroup(group).members | set(powers.tolist()))
     members = set(range(n))
     for m in maximal_subgroups(group):
         members &= m.members
@@ -558,24 +551,23 @@ def p_core(group: FiniteGroup, p: int) -> Subgroup:
 
 @_memoized
 def pprime_core(group: FiniteGroup, p: int) -> Subgroup:
-    """Largest normal p'-subgroup, by fixed-point iteration.
+    """Largest normal p'-subgroup O_p'(G), by one sweep over the classes.
 
-    Repeatedly absorbs a conjugacy class of p'-elements whose normal
-    closure together with the current subgroup still has order coprime to
-    p. That closure is the same for every member of a class, so only class
-    representatives are tried. Computed once per group and prime.
+    A class of p'-elements is absorbed when its normal closure together
+    with the subgroup so far still has order coprime to p; that closure is
+    the same for every member of a class, so only representatives are
+    tried. Every subgroup accepted is a normal p'-subgroup, so it lies in
+    O_p'(G). A class inside O_p'(G) is therefore accepted when the sweep
+    meets it, and a class outside is never accepted, so one sweep suffices.
+    Computed once per group and prime.
     """
     current = frozenset({group.identity})
-    changed = True
-    while changed:
-        changed = False
-        for x in group.conjugacy_classes.representatives:
-            if x in current or group.element_order(x) % p == 0:
-                continue
-            attempt = _normal_closure(group, current, (x,))
-            if len(attempt) % p != 0:
-                current = attempt
-                changed = True
+    for x in group.conjugacy_classes.representatives:
+        if x in current or group.element_order(x) % p == 0:
+            continue
+        attempt = _normal_closure(group, current, (x,))
+        if len(attempt) % p != 0:
+            current = attempt
     return group.subgroup(current)
 
 
@@ -605,50 +597,41 @@ def two_element_class_subgroup(group: FiniteGroup) -> Subgroup:
 
 @_memoized
 def hall_complement(group: FiniteGroup, p: int) -> Subgroup:
-    """A p'-complement to a normal Sylow p-subgroup.
+    """A p'-complement to a normal Sylow p-subgroup P, by one greedy pass.
 
-    Found by depth-first search over p'-elements in increasing index order,
-    keeping the running closure a p'-group of order dividing the target;
-    the first complete complement found is returned, so the result is
-    deterministic. Computed once per group and prime; a group without a
-    complement raises on every call.
+    With m = |G:P|, the elements are walked in index order and K, starting
+    trivial, becomes <K, x> whenever that order divides m. The pass never
+    dead-ends: by Schur-Zassenhaus (P is solvable) every p'-subgroup K lies
+    in a complement C, and <K, x> <= C for x in C. A rejected x stays
+    rejected as K grows, since |<K, x>| divides the order of every larger
+    <K', x> (Lagrange). So if the final K were smaller than a complement C
+    containing it, some x in C outside K was rejected at a K_x <= K, though
+    <K_x, x> <= C. The result is deterministic. Computed once per group and
+    prime; a group whose Sylow p-subgroup is not normal raises on every call.
     """
     syl = sylow_subgroup(group, p)
     if not syl.is_normal:
         raise NoComplementError("Sylow p-subgroup is not normal")
     m = group.order // syl.order
-    if m == 1:
-        return group.trivial_subgroup
-    pprime = [x for x in range(group.order)
-              if gcd(group.element_order(x), p) == 1 and m % group.element_order(x) == 0]
-    seen: set[frozenset[int]] = set()
-
-    def extend(members: frozenset[int], floor: int) -> frozenset[int] | None:
+    members = frozenset({group.identity})
+    for x in range(group.order):
         if len(members) == m:
-            return members
-        for x in pprime:
-            if x <= floor or x in members:
-                continue
+            break
+        if x not in members and m % group.element_order(x) == 0:
             bigger = _closure(group.table, members, (x,))
-            if m % len(bigger) or bigger in seen:
-                continue
-            seen.add(bigger)
-            found = extend(bigger, x)
-            if found is not None:
-                return found
-        return None
-
-    result = extend(frozenset({group.identity}), -1)
-    if result is None:
-        raise NoComplementError(f"no complement of order {m} found")
-    return group.subgroup(result)
+            if m % len(bigger) == 0:
+                members = bigger
+    return group.subgroup(members)
 
 
+@_memoized
 def quotient(group: FiniteGroup, n_sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """Quotient group on the cosets of a normal subgroup, plus the projection map.
 
     Cosets are indexed by their minimal member, in increasing order. For a
     normal N the coset gN is Ng, so `n_sub.coset_minima` names it.
+    Computed once per group and subgroup, so every caller shares one
+    quotient group.
     """
     if not n_sub.is_normal:
         raise NotNormalError(f"{n_sub!r} is not normal in {group.name!r}")
@@ -683,12 +666,15 @@ def pprime_sections(group: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for _, b in sorted(buckets.items(), key=lambda kv: min(kv[1])))
 
 
-def lower_central_series(group: FiniteGroup) -> list[Subgroup]:
+@_memoized
+def lower_central_series(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """G = G_1 > G_2 = [G_1, G] > ... down to the first repeated term,
+    computed once per group."""
     series = [group.full_subgroup]
     while True:
         nxt = commutator_subgroup(group, series[-1], group.full_subgroup)
         if nxt.members == series[-1].members:
-            return series
+            return tuple(series)
         series.append(nxt)
 
 
@@ -722,16 +708,19 @@ def element_order_multiset(orders: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
 
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> GroupIso | None:
-    """Brute-force isomorphism search by generator-image backtracking.
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> np.ndarray | None:
+    """An isomorphism g1 -> g2 as an image array, or None, by generator-image
+    backtracking.
 
-    Deterministic: generators are the greedy smallest-index generating
-    sequence of g1 and candidate images are tried in increasing order.
-    Intended for desk-scale orders (up to roughly 64).
+    Exhaustive: an isomorphism is determined by the images of g1's
+    generators, and it preserves element orders, so trying every image of
+    the right order for each generator meets every isomorphism. A full
+    assignment is kept when its map of words is consistent, injective and
+    respects every product. Deterministic: generators are the greedy
+    smallest-index generating sequence of g1 and candidate images are tried
+    in increasing order. Intended for desk-scale orders (up to roughly 64).
     """
-    for iso in _iter_isomorphisms(g1, g2):
-        return iso
-    return None
+    return next(_iter_isomorphisms(g1, g2), None)
 
 
 def _iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
@@ -741,7 +730,7 @@ def _iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
         return
     gens = g1.generators
     if not gens:
-        yield GroupIso(g1, g2, np.array([g2.identity], dtype=np.int64))
+        yield np.array([g2.identity], dtype=np.int64)
         return
     by_order: dict[int, list[int]] = {}
     for x in range(g1.order):
@@ -752,7 +741,7 @@ def _iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
         if k == len(gens):
             mapping = _extend_generator_images(g1, g2, gens, images)
             if mapping is not None and _is_homomorphism(g1, g2, mapping):
-                yield GroupIso(g1, g2, mapping)
+                yield mapping
             return
         want = g1.element_order(gens[k])
         for cand in by_order.get(want, ()):
@@ -820,41 +809,39 @@ def are_isoclinic(g1: FiniteGroup, g2: FiniteGroup) -> IsoclinismWitness | None:
     reps1 = np.unique(z1.coset_minima)
     reps2 = np.unique(z2.coset_minima)
     for beta in _iter_isomorphisms(q1, q2):
-        phi = _compatible_derived_iso(g1, g2, d1, d2, reps1, reps2, beta.mapping)
+        phi = _compatible_derived_iso(g1, g2, d2, reps1, reps2, beta)
         if phi is not None:
             return IsoclinismWitness(central_quotient_iso=beta, derived_iso=phi)
     return None
 
 
-def _compatible_derived_iso(g1, g2, d1: Subgroup, d2: Subgroup,
+def _compatible_derived_iso(g1: FiniteGroup, g2: FiniteGroup, d2: Subgroup,
                             reps1: np.ndarray, reps2: np.ndarray,
                             beta: np.ndarray) -> dict[int, int] | None:
-    # Commutators only depend on central cosets, so beta forces the map on
-    # commutator values; it must extend multiplicatively to the derived group.
-    phi: dict[int, int] = {g1.identity: g2.identity}
+    """The isomorphism G1' -> G2' that `beta` forces on commutators, or None.
+
+    A commutator depends only on the central cosets of its entries, so
+    beta forces [x, y] -> [x', y'] for coset representatives, and two
+    forced values for one commutator rule beta out. The forced values
+    generate G1', so :func:`_extend_generator_images` reaches exactly G1'.
+    When it succeeds it is injective and agrees on every edge x -> x s of a
+    generator s, so it is a homomorphism on G1'; it is then an isomorphism
+    onto G2' iff its image is G2'.
+    """
+    forced: dict[int, int] = {}
     for i in range(reps1.size):
         for j in range(reps1.size):
             s = g1.commutator(int(reps1[i]), int(reps1[j]))
             t = g2.commutator(int(reps2[beta[i]]), int(reps2[beta[j]]))
-            if phi.setdefault(s, t) != t:
+            if forced.setdefault(s, t) != t:
                 return None
-    while True:
-        items = list(phi.items())
-        for x, fx in items:
-            for y, fy in items:
-                xy = g1.mul(x, y)
-                fxy = g2.mul(fx, fy)
-                if phi.setdefault(xy, fxy) != fxy:
-                    return None
-        if len(phi) == len(items):
-            break
-    if set(phi) != d1.members or set(phi.values()) != d2.members:
+    mapping = _extend_generator_images(g1, g2, list(forced), list(forced.values()))
+    if mapping is None:
         return None
-    for x in phi:
-        for y in phi:
-            if phi[g1.mul(x, y)] != g2.mul(phi[x], phi[y]):
-                return None
-    return phi
+    reached = np.flatnonzero(mapping >= 0)
+    if set(mapping[reached].tolist()) != d2.members:
+        return None
+    return dict(zip(reached.tolist(), mapping[reached].tolist()))
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:

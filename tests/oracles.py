@@ -23,10 +23,15 @@ from modsocle.errors import (
 from modsocle.fplin import FpSubspace, as_matrix, nullspace
 from modsocle.groups import (
     _closure,
+    _iter_isomorphisms,
+    _normal_closure,
+    center,
     centralizer,
     commutator_subgroup,
     derived_subgroup,
+    element_order_multiset,
     is_p_group,
+    quotient,
     sylow_subgroup,
 )
 
@@ -273,6 +278,87 @@ def double_coset_lattice(group) -> list[tuple[int, tuple[int, ...]]]:
                     nxt.append(bigger)
         frontier = nxt
     return sorted((len(m), tuple(sorted(m))) for m in seen)
+
+
+def backtracking_hall_complement(group, p: int):
+    """Members of the first p'-complement to the normal Sylow p-subgroup
+    found by a depth-first search over p'-elements in index order, keeping
+    the running closure of order dividing the index; None if none is found.
+    The search backtracks, so it does not rely on Schur-Zassenhaus."""
+    m = group.order // sylow_subgroup(group, p).order
+    pprime = [x for x in range(group.order)
+              if gcd(group.element_order(x), p) == 1 and m % group.element_order(x) == 0]
+    seen = set()
+
+    def extend(members, floor):
+        if len(members) == m:
+            return members
+        for x in pprime:
+            if x <= floor or x in members:
+                continue
+            bigger = _closure(group.table, members, (x,))
+            if m % len(bigger) or bigger in seen:
+                continue
+            seen.add(bigger)
+            found = extend(bigger, x)
+            if found is not None:
+                return found
+        return None
+
+    return extend(frozenset({group.identity}), -1)
+
+
+def fixed_point_pprime_core(group, p: int) -> frozenset:
+    """O_p'(G) by sweeping the class representatives until no class of
+    p'-elements can be absorbed into a normal p'-subgroup any more."""
+    current = frozenset({group.identity})
+    changed = True
+    while changed:
+        changed = False
+        for x in group.conjugacy_classes.representatives:
+            if x in current or group.element_order(x) % p == 0:
+                continue
+            attempt = _normal_closure(group, current, (x,))
+            if len(attempt) % p != 0:
+                current = attempt
+                changed = True
+    return current
+
+
+def closure_isoclinism(g1, g2):
+    """(beta, phi) for the first isomorphism beta of the central quotients,
+    in the library's search order, whose forced map phi on commutators
+    closes under products to an isomorphism G1' -> G2'; None if there is
+    none. The closure multiplies every pair of known values until nothing
+    new appears, then checks every product."""
+    z1, z2 = center(g1), center(g2)
+    d1, d2 = derived_subgroup(g1), derived_subgroup(g2)
+    if d1.order != d2.order or g1.order * z2.order != g2.order * z1.order:
+        return None
+    orders1 = g1.element_orders[list(d1.sorted_members)]
+    orders2 = g2.element_orders[list(d2.sorted_members)]
+    if element_order_multiset(orders1) != element_order_multiset(orders2):
+        return None
+    reps1 = np.unique(z1.coset_minima)
+    reps2 = np.unique(z2.coset_minima)
+    for beta in _iter_isomorphisms(quotient(g1, z1)[0], quotient(g2, z2)[0]):
+        phi = {g1.identity: g2.identity}
+        ok = True
+        for i, j in itertools.product(range(reps1.size), repeat=2):
+            s = g1.commutator(int(reps1[i]), int(reps1[j]))
+            t = g2.commutator(int(reps2[beta[i]]), int(reps2[beta[j]]))
+            ok = ok and phi.setdefault(s, t) == t
+        while ok:
+            items = list(phi.items())
+            for (x, fx), (y, fy) in itertools.product(items, repeat=2):
+                ok = ok and phi.setdefault(g1.mul(x, y), g2.mul(fx, fy)) == g2.mul(fx, fy)
+            if len(phi) == len(items):
+                break
+        ok = ok and set(phi) == d1.members and set(phi.values()) == d2.members
+        ok = ok and all(phi[g1.mul(x, y)] == g2.mul(phi[x], phi[y]) for x in phi for y in phi)
+        if ok:
+            return beta, phi
+    return None
 
 
 # -- reference implementations the library does not carry ----------------------

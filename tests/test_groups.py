@@ -34,6 +34,7 @@ from modsocle.errors import (
     NotAGroupError,
     NotNilpotentError,
     NotNormalError,
+    ParseError,
 )
 from modsocle.groups import (
     _closure,
@@ -65,8 +66,11 @@ from modsocle.groups import (
 )
 
 from .oracles import (
+    backtracking_hall_complement,
+    closure_isoclinism,
     commutators_with,
     double_coset_lattice,
+    fixed_point_pprime_core,
     naive_closure,
     naive_conjugacy_classes,
     naive_element_order,
@@ -296,6 +300,26 @@ def test_frattini_general_group():
     assert frattini_subgroup(g).members == inter
 
 
+def test_frattini_of_a_nilpotent_group_reads_no_lattice(monkeypatch):
+    cases = [cyclic(6), direct_product(dihedral_group(8), cyclic(3)),
+             abelian([2, 2, 2, 2, 3]), abelian([4, 6, 10])]
+    expected = []
+    for g in cases:
+        inter = set(range(g.order))
+        for m in maximal_subgroups(g):
+            inter &= m.members
+        expected.append(inter)
+
+    def no_lattice(group):
+        raise AssertionError(f"all_subgroups called on {group.name}")
+
+    monkeypatch.setattr(groups, "all_subgroups", no_lattice)
+    for g, inter in zip(cases, expected):
+        assert frattini_subgroup(g).members == inter
+    with pytest.raises(AssertionError):
+        frattini_subgroup(symmetric4())
+
+
 # -- relative subgroups -------------------------------------------------------
 
 def test_centralizer_of_center_is_group():
@@ -363,6 +387,39 @@ def test_hall_complement_cases():
     assert h.order == 2 and h.members == {0, 3}
     with pytest.raises(NoComplementError):
         hall_complement(dihedral_group(6), 2)  # Sylow 2 not normal
+
+
+def _random_permutation_groups(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        degree = int(rng.integers(4, 8))
+        gens = [rng.permutation(degree).tolist() for _ in range(2)]
+        try:
+            out.append(from_permutations(gens, name=f"R{len(out)}", max_order=200))
+        except ParseError:
+            continue
+    return out
+
+
+def test_one_pass_hall_complement_and_pprime_core_match_the_old_searches():
+    # The one-pass versions rest on Schur-Zassenhaus and on O_p' absorbing
+    # every class it holds; the oracles backtrack and iterate to a fixed point.
+    cases = [g for _, g in builtin_catalog()] + [
+        dihedral_group(96), dihedral_group(200), cyclic(360),
+        *(holomorph_cyclic(n) for n in (9, 15, 20, 21)),
+        *_random_permutation_groups(12, seed=2024)]
+    complements = 0
+    for g in cases:
+        for p in (2, 3, 5, 7):
+            assert pprime_core(g, p).members == fixed_point_pprime_core(g, p), (g, p)
+            if not sylow_subgroup(g, p).is_normal:
+                continue
+            expected = backtracking_hall_complement(g, p)
+            assert expected is not None
+            assert hall_complement(g, p).members == expected, (g, p)
+            complements += 1
+    assert complements > 200
 
 
 # -- quotients ----------------------------------------------------------------
@@ -495,6 +552,21 @@ def test_maximal_class_16_triple_pairwise_isoclinic():
         phi = w.derived_iso
         da, db = derived_subgroup(a), derived_subgroup(b)
         assert set(phi) == da.members and set(phi.values()) == db.members
+
+
+def test_isoclinism_matches_the_product_closure():
+    cat = [g for _, g in builtin_catalog() if g.order <= 64]
+    witnesses = 0
+    for a, b in itertools.combinations_with_replacement(cat, 2):
+        if a.order != b.order:
+            continue
+        w = are_isoclinic(a, b)
+        ref = closure_isoclinism(a, b)
+        assert (w is None) == (ref is None), (a, b)
+        if w is not None:
+            assert np.array_equal(w.central_quotient_iso, ref[0]) and w.derived_iso == ref[1]
+            witnesses += 1
+    assert witnesses > 50
 
 
 def test_not_isoclinic_fast_fail():
@@ -703,8 +775,9 @@ def test_characteristic_subgroups_are_computed_once_per_group_and_prime():
     assert sylow_subgroup(g, 2) is sylow_subgroup(g, 2)
     assert sylow_subgroup(g, 2) != sylow_subgroup(g, 3)
     assert derived_subgroup(g) is derived_subgroup(g)
-    for fact in (center, two_element_class_subgroup):
+    for fact in (center, two_element_class_subgroup, groups.lower_central_series):
         assert fact(g) is fact(g)
+    assert quotient(g, center(g)) is quotient(g, center(g))
     for fact in (p_core, pprime_core, p_residual, hall_complement):
         assert fact(g, 3) is fact(g, 3)
     assert pprime_core(g, 2) != pprime_core(g, 3)
