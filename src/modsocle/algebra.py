@@ -165,9 +165,6 @@ class GroupAlgebra:
     def element(self, coeffs) -> AlgebraElement:
         return AlgebraElement(self, coeffs)
 
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, np.zeros(self.dim, dtype=np.int64))
-
     def one(self) -> AlgebraElement:
         return self.basis_element(self.group.identity)
 

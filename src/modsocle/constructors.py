@@ -23,7 +23,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _extend_generator_images,
-    _is_homomorphism,
     center,
     derived_subgroup,
     generate_subgroup,
@@ -251,74 +250,32 @@ def holomorph_cyclic(n: int) -> FiniteGroup:
     return make_group(_product_table((n, units.size), mul), f"Hol(C{n})")
 
 
-def _two_generator_pair(group: FiniteGroup) -> tuple[int, int]:
-    """Lexicographically first pair of elements generating the whole group."""
-    for x in range(group.order):
-        for y in range(x + 1, group.order):
-            if generate_subgroup(group, (x, y)).order == group.order:
-                return x, y
-    raise SearchFailedError(f"{group.name} is not 2-generated")
-
-
-def _perm_order(perm: np.ndarray) -> int:
-    n = perm.size
-    acc = perm.copy()
-    k = 1
-    ref = np.arange(n)
-    while not np.array_equal(acc, ref):
-        acc = perm[acc]
-        k += 1
-    return k
-
-
 def smallgroup_216_86() -> FiniteGroup:
-    """The group of order 216 with normal extraspecial Sylow 3-subgroup and a
-    C8 acting transitively on the eight nontrivial central quotient cosets
-    while inverting the center.
+    """E27 x| C8, the group of order 216 with normal extraspecial Sylow
+    3-subgroup and a C8 acting transitively on the eight nontrivial central
+    quotient cosets while inverting the center.
 
-    The automorphism realizing the action is found by exhaustive search over
-    generator images in the extraspecial group; the structural facts are
-    asserted on the result.
+    E27 = Heis3 indexes (a, b, c) as 9a + 3b + c, and the generator of C8
+    acts by alpha: b -> a, a -> ba (indices 3 -> 9, 9 -> 12). On
+    E27/Z = F_3^2 alpha is the matrix [[1, 1], [1, 0]], of order 8 and
+    determinant -1, so alpha acts on Z = [E27, E27] by inversion.
+
+    `_assert_216_86_facts` covers every property of alpha the construction
+    relies on: the class sizes [1, 2, 24] inside G' say that the center is
+    inverted (the class of size 2) and that C8 is transitive on the eight
+    nontrivial cosets (the class of size 24), so alpha has order exactly 8;
+    `validate_action` checks that alpha is an automorphism and that the C8
+    action is a homomorphism.
     """
     e27 = extraspecial_27_exp3()
-    zc = center(e27)
-    z_members = zc.sorted_members
-    x0, y0 = _two_generator_pair(e27)
-    _, projz = quotient(e27, zc)
-    alpha = None
-    for x1 in range(e27.order):
-        if x1 in zc.members:
-            continue
-        for y1 in range(e27.order):
-            mapping = _extend_generator_images(e27, e27, (x0, y0), (x1, y1))
-            if mapping is None or not _is_homomorphism(e27, e27, mapping):
-                continue
-            if any(mapping[z] != e27.inv(z) for z in z_members if z != e27.identity):
-                continue
-            if _perm_order(mapping) != 8:
-                continue
-            induced = projz[mapping[np.unique(zc.coset_minima)]]
-            orbit = {int(projz[x0])}
-            cur = int(projz[x0])
-            for _ in range(8):
-                cur = int(induced[cur])
-                orbit.add(cur)
-            if len(orbit) != 8:
-                continue
-            alpha = mapping
-            break
-        if alpha is not None:
-            break
-    if alpha is None:
-        raise SearchFailedError("no order-8 automorphism with the required action exists")
+    alpha = _extend_generator_images(e27, e27, (3, 9), (9, 12))
     c8 = cyclic(8)
-    action = cyclic_action(e27, c8, alpha)
-    g = semidirect(e27, c8, action, name="SmallGroup(216,86)")
-    _assert_216_86_facts(g, e27)
+    g = semidirect(e27, c8, cyclic_action(e27, c8, alpha), name="SmallGroup(216,86)")
+    _assert_216_86_facts(g)
     return g
 
 
-def _assert_216_86_facts(g: FiniteGroup, e27: FiniteGroup) -> None:
+def _assert_216_86_facts(g: FiniteGroup) -> None:
     if g.order != 216:
         raise SearchFailedError(f"construction has order {g.order}")
     derived = derived_subgroup(g)
@@ -346,6 +303,8 @@ def from_permutations(generators: Sequence[Sequence[int]], name: str = "G",
     if not generators:
         raise ParseError("at least one permutation generator is required")
     degree = len(generators[0])
+    if degree < 1:
+        raise ParseError("permutation generators must have degree at least 1")
     gens = []
     for perm in generators:
         arr = tuple(int(v) for v in perm)
@@ -375,6 +334,11 @@ def from_permutations(generators: Sequence[Sequence[int]], name: str = "G",
     return make_group(table, name)
 
 
+def _is_json_int(x) -> bool:
+    """Is `x` a JSON integer? A bool is not one, though Python says it is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def int_matrix(rows, what: str) -> np.ndarray:
     """`rows`, a list of lists of integers, as a 2-D int64 array.
 
@@ -382,7 +346,7 @@ def int_matrix(rows, what: str) -> np.ndarray:
     than coerced, and so are ragged rows: each raises `ParseError`.
     """
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
-            and all(isinstance(x, int) and not isinstance(x, bool) for r in rows for x in r)):
+            and all(_is_json_int(x) for r in rows for x in r)):
         raise ParseError(f"{what} must be a list of lists of integers")
     try:
         return np.array(rows, dtype=np.int64)
@@ -409,6 +373,8 @@ def parse_group(document) -> FiniteGroup:
         raise ParseError("group name must be a string")
     if fmt == "cayley":
         order = document.get("order")
+        if order is not None and not _is_json_int(order):
+            raise ParseError(f"order must be a JSON integer, got {order!r}")
         arr = int_matrix(document.get("table"), "cayley table")
         if order is not None and (arr.ndim != 2 or arr.shape != (order, order)):
             raise ParseError(f"table shape {arr.shape} does not match order {order}")
@@ -418,6 +384,8 @@ def parse_group(document) -> FiniteGroup:
         degree = document.get("degree")
         if not gens:
             raise ParseError("perm document needs a nonempty 'generators' list")
+        if degree is not None and not (_is_json_int(degree) and degree >= 1):
+            raise ParseError(f"degree must be a JSON integer of at least 1, got {degree!r}")
         int_matrix(gens, "perm generators")
         if degree is not None and any(len(p) != degree for p in gens):
             raise ParseError("generator length does not match degree")

@@ -258,13 +258,18 @@ class Subgroup:
 
 
 def _latin_check(table: np.ndarray) -> None:
-    n = table.shape[0]
-    ref = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(table[i]), ref):
-            raise NotAGroupError("latin-row", witness=i)
-        if not np.array_equal(np.sort(table[:, i]), ref):
-            raise NotAGroupError("latin-column", witness=i)
+    """Every row and every column is a permutation of range(n).
+
+    Raises on the first index i that is bad as a row or as a column,
+    naming the row if it is both.
+    """
+    ref = np.arange(table.shape[0])
+    bad_row = (np.sort(table, axis=1) != ref).any(axis=1)
+    bad_col = (np.sort(table, axis=0) != ref[:, None]).any(axis=0)
+    bad = np.flatnonzero(bad_row | bad_col)
+    if bad.size:
+        i = int(bad[0])
+        raise NotAGroupError("latin-row" if bad_row[i] else "latin-column", witness=i)
 
 
 def _find_identity(table: np.ndarray) -> int:

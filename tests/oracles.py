@@ -13,16 +13,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from modsocle.constructors import extraspecial_27_exp3
 from modsocle.errors import (
     DimensionMismatchError,
     DualRouteDisagreementError,
     HypothesisViolationError,
     NotAGroupError,
     NotNormalError,
+    SearchFailedError,
 )
 from modsocle.fplin import FpSubspace, as_matrix, nullspace
 from modsocle.groups import (
     _closure,
+    _extend_generator_images,
+    _is_homomorphism,
     _iter_isomorphisms,
     _normal_closure,
     center,
@@ -30,6 +34,7 @@ from modsocle.groups import (
     commutator_subgroup,
     derived_subgroup,
     element_order_multiset,
+    generate_subgroup,
     is_p_group,
     quotient,
     sylow_subgroup,
@@ -539,3 +544,72 @@ def group_to_document(group) -> dict:
     """A group in the Cayley file schema, as `parse_group` reads it."""
     return {"format": "cayley", "name": group.name, "order": group.order,
             "table": group.table.tolist()}
+
+
+def row_loop_latin_check(table: np.ndarray) -> None:
+    """The Latin-square check one index at a time: row i, then column i."""
+    n = table.shape[0]
+    ref = np.arange(n)
+    for i in range(n):
+        if not np.array_equal(np.sort(table[i]), ref):
+            raise NotAGroupError("latin-row", witness=i)
+        if not np.array_equal(np.sort(table[:, i]), ref):
+            raise NotAGroupError("latin-column", witness=i)
+
+
+def _two_generator_pair(group) -> tuple[int, int]:
+    """Lexicographically first pair of elements generating the whole group."""
+    for x in range(group.order):
+        for y in range(x + 1, group.order):
+            if generate_subgroup(group, (x, y)).order == group.order:
+                return x, y
+    raise SearchFailedError(f"{group.name} is not 2-generated")
+
+
+def _perm_order(perm: np.ndarray) -> int:
+    n = perm.size
+    acc = perm.copy()
+    k = 1
+    ref = np.arange(n)
+    while not np.array_equal(acc, ref):
+        acc = perm[acc]
+        k += 1
+    return k
+
+
+def searched_216_86_automorphism() -> np.ndarray:
+    """The first automorphism of E27, over images of its first generating
+    pair in index order, that inverts the center, has order 8 and is
+    transitive on the eight nontrivial cosets of the center."""
+    e27 = extraspecial_27_exp3()
+    zc = center(e27)
+    z_members = zc.sorted_members
+    x0, y0 = _two_generator_pair(e27)
+    _, projz = quotient(e27, zc)
+    alpha = None
+    for x1 in range(e27.order):
+        if x1 in zc.members:
+            continue
+        for y1 in range(e27.order):
+            mapping = _extend_generator_images(e27, e27, (x0, y0), (x1, y1))
+            if mapping is None or not _is_homomorphism(e27, e27, mapping):
+                continue
+            if any(mapping[z] != e27.inv(z) for z in z_members if z != e27.identity):
+                continue
+            if _perm_order(mapping) != 8:
+                continue
+            induced = projz[mapping[np.unique(zc.coset_minima)]]
+            orbit = {int(projz[x0])}
+            cur = int(projz[x0])
+            for _ in range(8):
+                cur = int(induced[cur])
+                orbit.add(cur)
+            if len(orbit) != 8:
+                continue
+            alpha = mapping
+            break
+        if alpha is not None:
+            break
+    if alpha is None:
+        raise SearchFailedError("no order-8 automorphism with the required action exists")
+    return alpha

@@ -147,7 +147,10 @@ def test_analyze_bad_spec_exit_2(capsys):
                     "action": [[0, 1, 2], [0, 2, 1]], "name": ["x"]}),
     ("manifest", {"id": "order32", "tags": "order32-complete"}),
     ("manifest", {"id": "order32", "tags": ["order32-complete", 32]}),
-    ("manifest", {"id": 5, "tags": []})])
+    ("manifest", {"id": 5, "tags": []}),
+    ("file", {"format": "perm", "generators": [[]]}),
+    ("file", {"format": "cayley", "order": True, "table": [[0]]}),
+    ("catalog", {"format": "perm", "generators": [[]]})])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, spec, document):
     """Only JSON integers are accepted, never coerced, and a descriptor's name
     and a catalog manifest's id must be JSON strings and its tags a list of
@@ -283,7 +286,7 @@ def test_verify_and_census_stdout_match_recorded_digests(capsys, monkeypatch, ar
 
 
 def test_smallgroup_216_86_analysis_matches_recorded_digest():
-    """Pins the 216-86 table, which its own automorphism search builds."""
+    """Pins the 216-86 table, which its written-down automorphism builds."""
     text = dumps_canonical(analysis_document(group_from_spec("smallgroup:216-86"), 3))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "90e7b732513c8e3b7688788b1ae1a9c30f6ca5460c4126a59c2020372ded4879")

@@ -55,7 +55,12 @@ from modsocle.groups import (
     sylow_subgroup,
 )
 
-from .oracles import group_to_document, naive_closure, table_from_mul
+from .oracles import (
+    group_to_document,
+    naive_closure,
+    searched_216_86_automorphism,
+    table_from_mul,
+)
 
 
 def test_abelian_cases():
@@ -224,6 +229,18 @@ def test_smallgroup_216_86_structure():
     assert shapes == [1, 2, 24]
 
 
+def test_smallgroup_216_86_automorphism_is_the_searched_one():
+    """The C8 generator acts on E27 by the automorphism the former generator-
+    image search returned, so the table is unchanged; its digest is pinned."""
+    g = smallgroup_216_86()
+    # (n, h) is indexed n * 8 + h, and (0, 1) (n, 0) (0, 1)^-1 = (alpha(n), 0)
+    conjugates = np.array([g.conj(8 * n, 1) for n in range(27)])
+    assert (conjugates % 8 == 0).all()
+    assert np.array_equal(conjugates // 8, searched_216_86_automorphism())
+    assert g.hash_digest() == (
+        "b3363353a699c7ab441b7ef4081be8cd1380fc40864bf1bf654f27b12943306a")
+
+
 def test_from_permutations_c4():
     g = from_permutations([[1, 2, 3, 0]], name="C4")
     assert g.order == 4
@@ -249,6 +266,20 @@ def test_parse_group_rejects_bad_documents():
         parse_group("{not json")
     with pytest.raises(ParseError):
         parse_group({"format": "perm", "degree": 3, "generators": [[0, 0, 1]]})
+
+
+@pytest.mark.parametrize("document", [
+    {"format": "perm", "generators": [[]]},
+    {"format": "perm", "degree": 0, "generators": [[]]},
+    {"format": "perm", "degree": 4.0, "generators": [[1, 2, 3, 0]]},
+    {"format": "perm", "degree": True, "generators": [[0]]},
+    {"format": "cayley", "order": 2.0, "table": [[0, 1], [1, 0]]},
+    {"format": "cayley", "order": True, "table": [[0]]}])
+def test_parse_group_rejects_degree_zero_and_coerced_sizes(document):
+    """Degree 0 is refused, and `order` and `degree` must be JSON integers:
+    a float or bool of the right value is not coerced."""
+    with pytest.raises(ParseError):
+        parse_group(document)
 
 
 def test_group_document_round_trip():

@@ -38,6 +38,7 @@ from modsocle.errors import (
 )
 from modsocle.groups import (
     _closure,
+    _latin_check,
     all_subgroups,
     are_isoclinic,
     center,
@@ -77,6 +78,7 @@ from .oracles import (
     naive_lower_central_series,
     naive_pprime_part,
     reduced_commutator_subgroup,
+    row_loop_latin_check,
 )
 
 
@@ -93,6 +95,63 @@ def test_make_group_rejects_non_latin():
     with pytest.raises(NotAGroupError) as err:
         make_group([[0, 0], [1, 1]])
     assert "latin" in str(err.value)
+
+
+def _latin_error(check, table):
+    try:
+        check(table)
+    except NotAGroupError as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def _with_defects(table, rows, cols, rng):
+    """`table` with bad rows exactly `rows` and bad columns exactly `cols`
+    (each a pair or empty): swapping two cells of one column breaks their two
+    rows only, and swapping two cells of one row breaks their two columns
+    only. The column used lies outside `cols` and the row outside `rows`."""
+    n = table.shape[0]
+    t = table.copy()
+    if rows:
+        j = int(rng.choice([x for x in range(n) if x not in cols]))
+        t[list(rows), j] = t[list(rows)[::-1], j]
+    if cols:
+        i = int(rng.choice([x for x in range(n) if x not in rows]))
+        t[i, list(cols)] = t[i, list(cols)[::-1]]
+    return t
+
+
+def _latin_corruptions(table, rng):
+    """Row-only and column-only defects, then a column defect at an index
+    below every row defect, the reverse, and an index bad both ways. A table
+    of order 1 has no two cells to swap."""
+    n = table.shape[0]
+    for _ in range(3 if n >= 2 else 0):
+        pair = tuple(int(x) for x in rng.choice(n, 2, replace=False))
+        yield _with_defects(table, pair, (), rng)
+        yield _with_defects(table, (), pair, rng)
+        if n >= 3:
+            low, a, b = (int(x) for x in sorted(rng.choice(n, 3, replace=False)))
+            yield _with_defects(table, (a, b), (low, a), rng)
+            yield _with_defects(table, (low, a), (a, b), rng)
+            yield _with_defects(table, (low, a), (low, b), rng)
+
+
+def test_latin_check_matches_the_row_loop():
+    """The whole-array check accepts every builtin table and raises the row
+    loop's (axiom, witness) on seeded corruptions of them and of D512."""
+    rng = np.random.default_rng(19)
+    tables = [g.table for _, g in builtin_catalog()] + [dihedral_group(512).table]
+    axioms = set()
+    for table in tables:
+        assert _latin_error(_latin_check, table) is None
+        assert _latin_error(row_loop_latin_check, table) is None
+        for bad in _latin_corruptions(table, rng):
+            expected = _latin_error(row_loop_latin_check, bad)
+            assert expected is not None
+            assert _latin_error(_latin_check, bad) == expected
+            axioms.add(expected[0])
+    assert axioms == {"latin-row", "latin-column"}
 
 
 def test_make_group_rejects_identityless_latin():
