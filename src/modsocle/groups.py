@@ -413,23 +413,18 @@ def _normal_closure(group: FiniteGroup, base: frozenset[int],
     members = base
     while fresh.size:
         members = _closure(group.table, members, fresh.tolist())
-        inside = np.zeros(group.order, dtype=bool)
-        inside[list(members)] = True
-        conj = np.unique(_conjugates(group, fresh, group.generators))
-        fresh = conj[~inside[conj]]
+        conj = np.unique(_conjugates(group, fresh, group.generators)).tolist()
+        fresh = np.fromiter((c for c in conj if c not in members), dtype=np.int64)
     return members
 
 
 def centralizer(group: FiniteGroup, subset: Iterable[int],
                 within: Optional[Subgroup] = None) -> Subgroup:
     """Elements (of `within`, default the whole group) commuting with `subset`."""
-    t = group.table
-    sub = np.fromiter(sorted(set(int(s) for s in subset)), dtype=np.int64)
+    t, sub = group.table, np.unique(np.fromiter(subset, dtype=np.int64))
     domain = np.arange(group.order) if within is None else np.array(within.sorted_members)
-    mask = np.ones(domain.size, dtype=bool)
-    for s in sub:
-        mask &= t[domain, s] == t[s, domain]
-    return group.subgroup(domain[mask])
+    commute = t[domain[:, None], sub] == t[sub[:, None], domain].T
+    return group.subgroup(domain[commute.all(axis=1)])
 
 
 def normalizer(group: FiniteGroup, sub: Subgroup,
@@ -439,15 +434,17 @@ def normalizer(group: FiniteGroup, sub: Subgroup,
     return group.subgroup(domain[sub.mask[conj].all(axis=1)])
 
 
-def commutator_subgroup(group: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by the commutators [x, y] with x in a, y in b."""
+def commutator_subgroup(group: FiniteGroup, a: Subgroup) -> Subgroup:
+    """[A, G], as the normal closure K of the [x, s] for x in A, s a generator.
+
+    Exact: modulo K each x in A commutes with every generator, so xK is
+    central in G/K and [A, G] <= K; and K <= [A, G], which is normal in G.
+    """
     t, inv = group.table, group.inverse
-    arr_a = np.array(a.sorted_members, dtype=np.int64)
-    arr_b = np.array(b.sorted_members, dtype=np.int64)
-    ab = t[np.ix_(arr_a, arr_b)]
-    x = t[ab, inv[arr_a][:, None]]
-    comms = np.unique(t[x, inv[arr_b][None, :]])
-    return generate_subgroup(group, (int(c) for c in comms))
+    arr = np.array(a.sorted_members, dtype=np.int64)[:, None]
+    gens = np.array(group.generators, dtype=np.int64)
+    comms = np.unique(t[t[t[arr, gens], inv[arr]], inv[gens]])
+    return group.subgroup(_normal_closure(group, frozenset({group.identity}), comms))
 
 
 def _memoized(fn):
@@ -472,17 +469,14 @@ def _memoized(fn):
 @_memoized
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
     """G' = [G, G], computed once per group."""
-    return commutator_subgroup(group, group.full_subgroup, group.full_subgroup)
+    return commutator_subgroup(group, group.full_subgroup)
 
 
 @_memoized
 def center(group: FiniteGroup) -> Subgroup:
-    """Z(G), computed once per group."""
-    return centralizer(group, range(group.order))
-
-
-def _power_map(group: FiniteGroup, k: int) -> np.ndarray:
-    return np.array([group.power(g, k) for g in range(group.order)], dtype=np.int64)
+    """Z(G), computed once per group: an element commuting with every
+    generator commutes with the group they generate."""
+    return centralizer(group, group.generators)
 
 
 def frattini_subgroup(group: FiniteGroup) -> Subgroup:
@@ -499,8 +493,8 @@ def frattini_subgroup(group: FiniteGroup) -> Subgroup:
     n = group.order
     if lower_central_series(group)[-1].order == 1:
         r = prod(f for f in range(2, n + 1) if n % f == 0 and is_prime(f))
-        powers = _power_map(group, r)
-        return generate_subgroup(group, derived_subgroup(group).members | set(powers.tolist()))
+        powers = {group.power(g, r) for g in range(n)}
+        return generate_subgroup(group, derived_subgroup(group).members | powers)
     members = set(range(n))
     for m in maximal_subgroups(group):
         members &= m.members
@@ -522,7 +516,7 @@ def is_p_group(order: int, p: int) -> bool:
 
 @_memoized
 def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown by normalizer ascent.
+    """A Sylow p-subgroup: the group itself if a p-group, else by normalizer ascent.
 
     Starting from the trivial subgroup, repeatedly adjoin the smallest
     p-element of the normalizer not already present; the extension stays a
@@ -530,6 +524,8 @@ def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
     Computed once per group and prime, so every caller sees the same one.
     """
     target = _p_part(group.order, p)
+    if target == group.order:
+        return group.full_subgroup
     current = group.trivial_subgroup
     while current.order < target:
         nz = normalizer(group, current)
@@ -543,15 +539,20 @@ def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
 
 @_memoized
 def p_core(group: FiniteGroup, p: int) -> Subgroup:
-    """Largest normal p-subgroup: intersection of the Sylow conjugates.
+    """Largest normal p-subgroup O_p(G), computed once per group and prime.
 
-    Computed once per group and prime.
+    From a Sylow subgroup P, drop each member that some generator conjugates
+    outside the set, until none drops. The fixed point is mapped into itself
+    by every generator's conjugation, a bijection, so it is normal and lies in
+    each conjugate of P; their intersection is invariant, so none of it drops.
     """
-    syl = sylow_subgroup(group, p)
-    conj = _conjugates(group, syl.sorted_members, np.arange(group.order))
-    # Row x is the conjugate by x, so the core's members occur in every row.
-    counts = np.bincount(conj.ravel(), minlength=group.order)
-    return group.subgroup(np.flatnonzero(counts == group.order))
+    inside = sylow_subgroup(group, p).mask.copy()
+    while True:
+        members = np.flatnonzero(inside)
+        kept = inside[_conjugates(group, members, group.generators)].all(axis=0)
+        if kept.all():
+            return group.subgroup(members)
+        inside[members[~kept]] = False
 
 
 @_memoized
@@ -677,7 +678,7 @@ def lower_central_series(group: FiniteGroup) -> tuple[Subgroup, ...]:
     computed once per group."""
     series = [group.full_subgroup]
     while True:
-        nxt = commutator_subgroup(group, series[-1], group.full_subgroup)
+        nxt = commutator_subgroup(group, series[-1])
         if nxt.members == series[-1].members:
             return tuple(series)
         series.append(nxt)

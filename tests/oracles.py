@@ -25,10 +25,12 @@ from modsocle.errors import (
 from modsocle.fplin import FpSubspace, as_matrix, nullspace
 from modsocle.groups import (
     _closure,
+    _conjugates,
     _extend_generator_images,
     _is_homomorphism,
     _iter_isomorphisms,
     _normal_closure,
+    _p_part,
     center,
     centralizer,
     commutator_subgroup,
@@ -36,6 +38,7 @@ from modsocle.groups import (
     element_order_multiset,
     generate_subgroup,
     is_p_group,
+    normalizer,
     quotient,
     sylow_subgroup,
 )
@@ -330,6 +333,44 @@ def fixed_point_pprime_core(group, p: int) -> frozenset:
     return current
 
 
+def pairwise_commutator_subgroup(group, a, b):
+    """Subgroup generated by the commutators [x, y] with x in a, y in b,
+    from all |a| x |b| of them."""
+    t, inv = group.table, group.inverse
+    arr_a = np.array(a.sorted_members, dtype=np.int64)
+    arr_b = np.array(b.sorted_members, dtype=np.int64)
+    ab = t[np.ix_(arr_a, arr_b)]
+    x = t[ab, inv[arr_a][:, None]]
+    comms = np.unique(t[x, inv[arr_b][None, :]])
+    return generate_subgroup(group, (int(c) for c in comms))
+
+
+def all_conjugates_p_core(group, p: int):
+    """O_p(G) as the members of the Sylow p-subgroup that lie in its
+    conjugates by all |G| elements."""
+    syl = sylow_subgroup(group, p)
+    conj = _conjugates(group, syl.sorted_members, np.arange(group.order))
+    # Row x is the conjugate by x, so the core's members occur in every row.
+    counts = np.bincount(conj.ravel(), minlength=group.order)
+    return group.subgroup(np.flatnonzero(counts == group.order))
+
+
+def normalizer_ascent_sylow(group, p: int):
+    """A Sylow p-subgroup grown from the trivial subgroup by adjoining the
+    smallest p-element of the normalizer not already present, for every
+    group, p-groups included."""
+    target = _p_part(group.order, p)
+    current = group.trivial_subgroup
+    while current.order < target:
+        nz = normalizer(group, current)
+        candidate = min(
+            x for x in nz.sorted_members
+            if x not in current.members and is_p_group(group.element_order(x), p)
+        )
+        current = generate_subgroup(group, set(current.members) | {candidate})
+    return current
+
+
 def closure_isoclinism(g1, g2):
     """(beta, phi) for the first isomorphism beta of the central quotients,
     in the library's search order, whose forced map phi on commutators
@@ -507,8 +548,8 @@ def reduced_commutator_subgroup(group, n_sub, p: int):
     """
     if not n_sub.is_normal or not is_p_group(n_sub.order, p):
         raise HypothesisViolationError("N must be a normal p-subgroup")
-    ng = commutator_subgroup(group, n_sub, group.full_subgroup)
-    nng = commutator_subgroup(group, n_sub, ng)
+    ng = commutator_subgroup(group, n_sub)
+    nng = pairwise_commutator_subgroup(group, n_sub, ng)
     members = {x for x in ng.members if group.power(x, p) in nng.members}
     try:
         result = group.subgroup(members)
@@ -526,7 +567,7 @@ def commutators_with(group, h: int, p: int):
     set is already a subgroup, and it is normal.
     """
     syl = sylow_subgroup(group, p)
-    pg = commutator_subgroup(group, syl, group.full_subgroup)
+    pg = commutator_subgroup(group, syl)
     zp = centralizer(group, syl.sorted_members, within=syl)
     if not pg.members <= zp.members:
         raise HypothesisViolationError("[P, G] is not contained in Z(P)")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modsocle import groups
+from modsocle.algebra import GroupAlgebra
 from modsocle.catalog import (
     alternating4,
     builtin_catalog,
@@ -51,6 +52,7 @@ from modsocle.groups import (
     hall_complement,
     is_central_product,
     is_metabelian,
+    is_p_group,
     make_group,
     maximal_subgroups,
     nilpotency_class,
@@ -67,6 +69,7 @@ from modsocle.groups import (
 )
 
 from .oracles import (
+    all_conjugates_p_core,
     backtracking_hall_complement,
     closure_isoclinism,
     commutators_with,
@@ -77,6 +80,8 @@ from .oracles import (
     naive_element_order,
     naive_lower_central_series,
     naive_pprime_part,
+    normalizer_ascent_sylow,
+    pairwise_commutator_subgroup,
     reduced_commutator_subgroup,
     row_loop_latin_check,
 )
@@ -391,7 +396,7 @@ def test_commutator_subgroup_matches_definition():
         full = g.full_subgroup
         comms = {g.commutator(a, b) for a in range(g.order) for b in range(g.order)}
         expected = naive_closure(g.table.tolist(), comms, g.identity)
-        assert commutator_subgroup(g, full, full).members == expected
+        assert pairwise_commutator_subgroup(g, full, full).members == expected
         assert derived_subgroup(g).members == expected
 
 
@@ -686,7 +691,7 @@ def test_semidirect_shape_structure_over_catalog():
             prod = {g.mul(a, b) for a in core.members for b in zp.members}
             assert cg.members == prod
             assert len(prod) == core.order * zp.order
-            gh = commutator_subgroup(g, g.full_subgroup, h)
+            gh = pairwise_commutator_subgroup(g, g.full_subgroup, h)
             res = p_residual(g, p)
             assert res.members == generate_subgroup(g, h.members | gh.members).members
             res_group, res_members = res.as_group()
@@ -799,6 +804,62 @@ def test_p_core_is_the_intersection_of_the_sylow_conjugates():
             syl = sylow_subgroup(g, p).members
             core = frozenset.intersection(*(conj(x, syl) for x in range(g.order)))
             assert p_core(g, p).members == core, (name, p)
+
+
+def test_characteristic_subgroups_from_the_generators_match_the_old_forms():
+    """[A, G] (for the lower central terms and for Sylow subgroups), Z(G)
+    and O_p(G) read from the generators equal the all-pairs commutators, the
+    table's symmetric rows and the all-conjugates core, and a p-group's
+    Sylow subgroup is the one the normalizer ascent grows."""
+    randoms = _random_permutation_groups(20, seed=20)
+    extra = (dihedral_group(512), family("quaternion", 512), dihedral_group(96),
+             holomorph_cyclic(15), smallgroup_216_86())
+    for g in [g for _, g in builtin_catalog()] + list(extra) + randoms:
+        full = g.full_subgroup
+        series = [full]
+        while True:
+            nxt = pairwise_commutator_subgroup(g, series[-1], full)
+            if nxt == series[-1]:
+                break
+            series.append(nxt)
+        assert groups.lower_central_series(g) == tuple(series), g.name
+        assert derived_subgroup(g) == series[min(1, len(series) - 1)], g.name
+        central = np.flatnonzero((g.table == g.table.T).all(axis=1))
+        assert center(g).sorted_members == tuple(central.tolist()), g.name
+        for p in (2, 3, 5):
+            syl = sylow_subgroup(g, p)  # not normal in general: [P, G] needs the normal closure
+            assert commutator_subgroup(g, syl) == pairwise_commutator_subgroup(g, syl, full), \
+                (g.name, p)
+            assert p_core(g, p) == all_conjugates_p_core(g, p), (g.name, p)
+            if is_p_group(g.order, p):
+                assert sylow_subgroup(g, p) == normalizer_ascent_sylow(g, p), (g.name, p)
+    for g in randoms:
+        for p in (2, 3):
+            GroupAlgebra(g, p).soc_is_ideal  # raises if the two routes disagree
+
+
+def test_characteristic_subgroups_conjugate_by_the_generators_only(monkeypatch):
+    """No |G| conjugators, no normalizer and no all-pairs commutator closure
+    for the lower central series, centre, p-core and Sylow subgroup of a
+    2-group."""
+    g = dihedral_group(512)
+    widths = []
+    conjugates = groups._conjugates
+
+    def counted(group, members, by):
+        widths.append(len(by))
+        return conjugates(group, members, by)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a |G|-wide search was called")
+
+    monkeypatch.setattr(groups, "_conjugates", counted)
+    monkeypatch.setattr(groups, "normalizer", forbidden)
+    monkeypatch.setattr(groups, "generate_subgroup", forbidden)
+    assert len(groups.lower_central_series(g)) == 9
+    assert center(g).order == 2
+    assert p_core(g, 2).order == sylow_subgroup(g, 2).order == 512
+    assert widths and max(widths) <= len(g.generators)
 
 
 def test_normalizer_and_is_normal_match_their_definitions():
