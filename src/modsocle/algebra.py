@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Integral
 from typing import Iterable, Optional
 
@@ -196,21 +196,30 @@ class GroupAlgebra:
         support = coeffs.nonzero()[0]
         return coeffs[support], self._class_index.take(support, axis=0)
 
-    def central_mult_matrix(self, vec) -> np.ndarray:
-        """Matrix of multiplication by the central element with class coords `vec`.
-
-        Entry (l, j) sums vec(x) over the x in supp vec (F_pG coordinates)
-        with x^-1 r_l in class j: one scatter of |supp vec| * k cells."""
-        coeffs, rows = self._support_rows(vec)
-        k = self.center_dim
-        out = np.zeros((k, k), dtype=np.int64)
-        np.add.at(out, (np.arange(k), rows), coeffs[:, None])
-        return out % self.p
-
     def _central_product(self, u, w) -> np.ndarray:
         """Class coordinates of central u . w: |supp u| * k operations."""
         coeffs, rows = self._support_rows(u)
         return coeffs @ w[rows] % self.p
+
+    def _central_products(self, u, w) -> np.ndarray:
+        """Class coordinates of central u . w for each column w of the k x d
+        matrix `w`, as the columns of a k x d matrix.
+
+        Like `_central_product`, it reads only the rows of supp u: the
+        multiplication map of u is never built, only applied to `w`. The
+        gathered block `w[rows]` is |supp u| x k x d, so it is taken a slice
+        of the support at a time, each at most |G| * k cells, the size of
+        `_class_index`. Each entry still sums at most |G| products of
+        residues (`fplin.check_modulus`).
+        """
+        coeffs, rows = self._support_rows(u)
+        k, d = w.shape
+        step = max(1, self.group.order // d)
+        out = np.zeros(k * d, dtype=np.int64)
+        for s in range(0, coeffs.size, step):
+            block = w[rows[s:s + step]]
+            out += coeffs[s:s + step] @ block.reshape(block.shape[0], k * d)
+        return out.reshape(k, d) % self.p
 
     def expand_central(self, vec) -> np.ndarray:
         """Class coordinates -> F_pG coefficient vector."""
@@ -230,6 +239,8 @@ class GroupAlgebra:
         Column i is e_i^p for the class sum e_i, by square-and-multiply over
         the bits of p after the leading one, each step a `_central_product`
         of |supp| * k operations. So a column costs O(|G| k log p) at most.
+        The m matrix products of the power go through `fplin.matmul`, in
+        float64 where that is exact.
         """
         k = self.center_dim
         p = self.p
@@ -248,7 +259,7 @@ class GroupAlgebra:
             m += 1
         power = np.eye(k, dtype=np.int64)
         for _ in range(m):
-            power = power @ frob % p
+            power = fplin.matmul(power, frob, p)
         return power
 
     @cached_property
@@ -312,12 +323,20 @@ class GroupAlgebra:
     @cached_property
     def socle_center(self) -> FpSubspace:
         """soc(ZF_pG) in class coordinates: the annihilator of the radical
-        inside the center. The multiplication maps of the radical basis are
-        made one at a time, each from the support of its basis vector, and
-        `common_nullspace` applies each to the common kernel left by the
-        ones before, so its eliminations shrink with that kernel and stop
-        once it is zero."""
-        maps = (self.central_mult_matrix(row) for row in self.jacobson_center.basis)
+        inside the center."""
+        return self.annihilator(self.jacobson_center.basis)
+
+    def annihilator(self, vectors: Iterable) -> FpSubspace:
+        """{z in Z : v . z = 0 for every v in `vectors`}, for central
+        elements given in class coordinates.
+
+        `common_nullspace` applies the multiplication map of each v, as
+        `_central_products` from the support of v, to the common kernel left
+        by the ones before. So no k x k map is built, each product shrinks
+        with that kernel, and once the kernel is zero the remaining vectors
+        are not read.
+        """
+        maps = (partial(self._central_products, v) for v in vectors)
         return fplin.common_nullspace(maps, self.p, self.center_dim)
 
     @cached_property

@@ -199,11 +199,34 @@ def nullspace(m, p: int, cols: int | None = None) -> FpSubspace:
     return FpSubspace.from_rref(vecs[::-1, ::-1], [n - 1 - f for f in reversed(free)], p, n)
 
 
+def matmul(a: Array, b: Array, p: int) -> Array:
+    """a @ b mod p for matrices of residues mod p, exactly.
+
+    When `a.shape[1] * (p-1)^2 < 2^53` every partial sum of the product is
+    an integer below 2^53, which float64 holds exactly, so the product runs
+    in float64 through BLAS whatever order it sums in. Otherwise it runs in
+    int64 under `check_modulus`: numpy multiplies int64 without BLAS, but
+    a prime that large does not divide any |G| in range, so its group
+    algebra is semisimple; with p >= k the Frobenius power is one product,
+    and a zero radical leaves no kernel to refine.
+    """
+    inner = a.shape[1]
+    if inner * (p - 1) ** 2 < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
+    check_modulus(p, inner)
+    return a @ b % p
+
+
 def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
-    """Vectors annihilated by every matrix in `maps` (the full space for none).
+    """Vectors annihilated by every map in `maps` (the full space for none).
+
+    Each map is a callable: given vectors of F_p^ambient as the columns of
+    an ambient x d matrix, it returns their images as columns, reduced
+    mod p. So a map is never built as a matrix; it is only ever applied to
+    the basis of the current kernel.
 
     The common kernel K starts as the whole space and is refined map by map:
-    each matrix is applied to the basis of K, and when that image is nonzero
+    each map is applied to the basis of K, and when that image is nonzero
     K becomes the image's kernel in K's coordinates, mapped back through
     K's basis. The only elimination is the one inside `nullspace`, of the
     image (dim K columns): a product of two RREF bases is already RREF, its
@@ -211,12 +234,12 @@ def common_nullspace(maps: Iterable, p: int, ambient: int) -> FpSubspace:
     the rest of `maps` is not read.
     """
     kernel = FpSubspace.from_rref(np.eye(ambient, dtype=np.int64), range(ambient), p, ambient)
-    for m in maps:
-        image = as_matrix(m, p, cols=ambient) @ kernel.basis.T % p
+    for apply in maps:
+        image = apply(kernel.basis.T)
         if image.any():
             coords = nullspace(image, p, cols=kernel.dim)
             kernel = FpSubspace.from_rref(
-                coords.basis @ kernel.basis % p,
+                matmul(coords.basis, kernel.basis, p),
                 [kernel.pivots[q] for q in coords.pivots], p, ambient)
             if kernel.dim == 0:
                 break

@@ -663,13 +663,34 @@ def p_decomposition(group: FiniteGroup, g: int, p: int) -> PDecomposition:
 
 
 def pprime_sections(group: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
-    """Partition of G where x ~ y iff their p'-parts are conjugate."""
-    cls = group.conjugacy_classes
-    buckets: dict[int, list[int]] = {}
-    for g in range(group.order):
-        key = int(cls.class_of[p_decomposition(group, g, p).pprime_part])
-        buckets.setdefault(key, []).append(g)
-    return tuple(tuple(b) for _, b in sorted(buckets.items(), key=lambda kv: min(kv[1])))
+    """Partition of G where x ~ y iff their p'-parts are conjugate, sorted
+    by least member.
+
+    The p'-part of x is x^e for the exponent e that `p_decomposition` takes,
+    which depends only on the order of x. So e is found once per distinct
+    order, and every element is raised at once, by square-and-multiply on
+    index arrays through the Cayley table.
+    """
+    orders, which = np.unique(group.element_orders, return_inverse=True)
+    exponents = []
+    for o in orders.tolist():
+        pa = _p_part(o, p)
+        m = o // pa
+        exponents.append(pa * pow(pa, -1, m) if m > 1 else 0)
+    e = np.array(exponents, dtype=np.int64)[which]
+    table = group.table
+    base = np.arange(group.order)
+    pprime = np.full(group.order, group.identity)
+    while e.any():
+        odd = (e & 1).astype(bool)
+        pprime[odd] = table[pprime[odd], base[odd]]
+        base = table[base, base]
+        e >>= 1
+    keys = group.conjugacy_classes.class_of[pprime]
+    order = np.argsort(keys, kind="stable")
+    starts = np.unique(keys[order], return_index=True)[1]
+    sections = np.split(order, starts[1:])
+    return tuple(tuple(s.tolist()) for s in sorted(sections, key=lambda s: s[0]))
 
 
 @_memoized

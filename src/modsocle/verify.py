@@ -13,7 +13,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import fplin
 from .algebra import GroupAlgebra
 from .errors import CensusMismatchError, HypothesisViolationError, NotNilpotentError
 from .groups import (
@@ -375,8 +374,7 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
         if is_p_group(g.order, p):
             selection = alg.class_selection(center(g))
             qalg = selection.quotient_algebra
-            maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
-            ann = fplin.common_nullspace(maps, p, qalg.center_dim)
+            ann = qalg.annihilator(selection.image_elements.values())
             contained = qalg.embed_central(ann).is_subspace_of(qalg.derived_sum_space)
             claims.append(_claim(
                 f"annihilator_criterion_matches_verdict_{g.name}",

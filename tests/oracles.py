@@ -39,6 +39,7 @@ from modsocle.groups import (
     generate_subgroup,
     is_p_group,
     normalizer,
+    p_decomposition,
     quotient,
     sylow_subgroup,
 )
@@ -260,6 +261,17 @@ def stacked_nullspace(maps, p: int, ambient: int) -> FpSubspace:
     return nullspace(np.vstack(mats), p, cols=ambient)
 
 
+def central_mult_matrix(alg, vec) -> np.ndarray:
+    """Dense k x k matrix of multiplication by the central element with class
+    coordinates `vec`: entry (l, j) sums vec(x) over the x in supp vec (F_pG
+    coordinates) with x^-1 r_l in class j, one scatter of |supp vec| * k cells."""
+    coeffs, rows = alg._support_rows(vec)
+    k = alg.center_dim
+    out = np.zeros((k, k), dtype=np.int64)
+    np.add.at(out, (np.arange(k), rows), coeffs[:, None])
+    return out % alg.p
+
+
 def double_coset_lattice(group) -> list[tuple[int, tuple[int, ...]]]:
     """Every subgroup as (order, sorted members), sorted, by a breadth-first
     search that extends each subgroup H found to <H, g> for one g per double
@@ -369,6 +381,17 @@ def normalizer_ascent_sylow(group, p: int):
         )
         current = generate_subgroup(group, set(current.members) | {candidate})
     return current
+
+
+def loop_pprime_sections(group, p: int):
+    """The p'-sections of G, sorted by least member, from one
+    `p_decomposition` per element."""
+    cls = group.conjugacy_classes
+    buckets: dict[int, list[int]] = {}
+    for g in range(group.order):
+        key = int(cls.class_of[p_decomposition(group, g, p).pprime_part])
+        buckets.setdefault(key, []).append(g)
+    return tuple(tuple(b) for _, b in sorted(buckets.items(), key=lambda kv: min(kv[1])))
 
 
 def closure_isoclinism(g1, g2):
@@ -512,7 +535,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
     p = alg.p
     selection = alg.class_selection(n_sub)
     qalg = selection.quotient_algebra
-    maps = [qalg.central_mult_matrix(v) for v in selection.image_elements.values()]
+    maps = [central_mult_matrix(qalg, v) for v in selection.image_elements.values()]
     route1 = stacked_nullspace(maps, p, qalg.center_dim)
     reps = np.array(qalg.classes.representatives, dtype=np.int64)
     raw_maps = []
@@ -523,7 +546,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
         if pushed.any():
             if not np.array_equal(pushed, pushed[reps[qalg.classes.class_of]]):
                 raise DimensionMismatchError("a projected radical element is not central")
-            raw_maps.append(qalg.central_mult_matrix(pushed[reps]))
+            raw_maps.append(central_mult_matrix(qalg, pushed[reps]))
     route2 = stacked_nullspace(raw_maps, p, qalg.center_dim)
     if route1 != route2:
         raise DualRouteDisagreementError(

@@ -42,6 +42,7 @@ from modsocle.groups import (
 )
 
 from .oracles import (
+    central_mult_matrix,
     central_multiply,
     commutator_space,
     identity_coefficient,
@@ -136,7 +137,7 @@ def test_central_mult_matrix_matches_the_full_contraction(make, p):
     dense = np.random.default_rng(p).integers(0, p, size=k)
     for v in (np.zeros(k, dtype=np.int64), *np.eye(k, dtype=np.int64), two, dense):
         full = np.einsum("i,ijl->lj", v, a) % p
-        assert np.array_equal(alg.central_mult_matrix(v), full)
+        assert np.array_equal(central_mult_matrix(alg, v), full)
 
 
 def test_class_sum_maps_match_the_pairwise_count():
@@ -145,7 +146,7 @@ def test_class_sum_maps_match_the_pairwise_count():
         alg = GroupAlgebra(g, p)
         a = naive_class_structure_constants(alg)
         for i, e in enumerate(np.eye(alg.center_dim, dtype=np.int64)):
-            assert np.array_equal(alg.central_mult_matrix(e), a[i].T), (g.name, p, i)
+            assert np.array_equal(central_mult_matrix(alg, e), a[i].T), (g.name, p, i)
 
 
 def test_central_products_are_exact_at_the_int64_bound():
@@ -159,9 +160,40 @@ def test_central_products_are_exact_at_the_int64_bound():
     k = alg.center_dim
     dense = np.full(k, p - 1, dtype=np.int64)
     full = np.einsum("i,ijl->lj", dense, naive_class_structure_constants(alg)) % p
-    assert np.array_equal(alg.central_mult_matrix(dense), full)
+    assert np.array_equal(central_mult_matrix(alg, dense), full)
     assert np.array_equal(alg._central_product(dense, dense), full @ dense % p)
     assert alg.jacobson_center.dim == 0
+
+
+def test_central_products_match_the_single_product_column_by_column():
+    rng = np.random.default_rng(11)
+    cases = [(g, p) for _, g in builtin_catalog() for p in (2, 3)]
+    for g, p in cases + [(dihedral_group(512), p) for p in (2, 3)]:
+        alg = GroupAlgebra(g, p)
+        k = alg.center_dim
+        dense = rng.integers(1, p, size=k)
+        # the identity makes d = k, so a dense support is gathered in slices
+        for w in (rng.integers(0, p, size=(k, 3)), np.eye(k, dtype=np.int64)):
+            for u in (np.zeros(k, dtype=np.int64), dense):
+                got = alg._central_products(u, w)
+                want = np.stack([alg._central_product(u, c) for c in w.T], axis=1)
+                assert np.array_equal(got, want), (g.name, p)
+
+
+def test_socle_of_d1024_gathers_its_products_in_slices():
+    # k = 259; a radical basis vector with 256 elements in its support,
+    # gathered unsliced on a kernel of dimension about 130, makes a
+    # 256 x 259 x 130 int64 block: a peak of about 68 MiB
+    alg = GroupAlgebra(dihedral_group(1024), 2)
+    alg.jacobson_center
+    tracemalloc.start()
+    try:
+        alg.socle_center
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert alg.socle_center.dim == 4
 
 
 def test_radical_and_socle_allocate_no_cube_of_the_class_count():
@@ -397,7 +429,7 @@ def test_socle_matches_the_stacked_oracle():
     cases = 0
     for name, g, p in _stacked_oracle_cases():
         alg = GroupAlgebra(g, p)
-        maps = [alg.central_mult_matrix(r) for r in alg.jacobson_center.basis]
+        maps = [central_mult_matrix(alg, r) for r in alg.jacobson_center.basis]
         assert alg.socle_center == stacked_nullspace(maps, p, alg.center_dim), (name, p)
         cases += 1
     assert cases == 62

@@ -129,11 +129,17 @@ def test_dimension_mismatch_errors():
         b.is_subspace_of(a)
 
 
+def applied(m, p):
+    """The map x -> m x mod p, in the form `common_nullspace` reads."""
+    m = np.asarray(m, dtype=np.int64)
+    return lambda cols: m @ cols % p
+
+
 def test_common_nullspace():
     assert common_nullspace([], 2, 4).dim == 4
-    assert common_nullspace([np.eye(3, dtype=np.int64)], 2, 3).dim == 0
+    assert common_nullspace([applied(np.eye(3, dtype=np.int64), 2)], 2, 3).dim == 0
     maps = [[[1, 0, 0]], [[0, 1, 0]]]
-    space = common_nullspace(maps, 2, 3)
+    space = common_nullspace([applied(m, 2) for m in maps], 2, 3)
     assert space.dim == 1
     expected = brute_nullspace_vectors([[1, 0, 0], [0, 1, 0]], 2)
     assert enumerate_span(space.basis, 2, 3) == expected
@@ -163,12 +169,12 @@ def test_common_nullspace_matches_the_stacked_oracle(case, full_rank_early):
         tail = [[[1] * n]]
 
     def lazily():
-        yield from (np.array(m) for m in maps)
+        yield from (applied(m, p) for m in maps)
         if full_rank_early:
             raise AssertionError("read a map after the rank reached the ambient dimension")
 
     expected = stacked_nullspace(maps + tail, p, n)
-    assert common_nullspace(maps + tail, p, n) == expected
+    assert common_nullspace([applied(m, p) for m in maps + tail], p, n) == expected
     assert common_nullspace(lazily(), p, n) == expected
 
 
@@ -188,7 +194,7 @@ def test_common_nullspace_eliminates_once_per_map_that_shrinks_the_kernel(monkey
         return rref_(m, q)
 
     monkeypatch.setattr(fplin, "rref", counted)
-    assert common_nullspace(maps, p, n) == expected
+    assert common_nullspace([applied(m, p) for m in maps], p, n) == expected
     assert expected.dim == 2
     assert len(calls) == len(shrinking)
 
@@ -201,12 +207,40 @@ def test_common_nullspace_is_exact_at_the_int64_bound():
     rng = np.random.default_rng(5)
     # three rank-2 maps: the kernel shrinks 8 -> 6 -> 4 -> 2
     maps = [rng.integers(p - 1000, p, size=(2, n)) for _ in range(3)]
-    space = common_nullspace(maps, p, n)
+    space = common_nullspace([applied(m, p) for m in maps], p, n)
     assert space == stacked_nullspace(maps, p, n)
     assert space.dim == 2
     for m in maps:
         for v in space.basis:
             assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in m)
+
+
+def test_matmul_is_exact_at_the_float64_bound():
+    inner = 64
+    # the largest prime with inner * (p-1)^2 < 2^53 takes float64; the next
+    # prime takes int64, and one whose products pass 2^63 is refused
+    p = math.isqrt(((1 << 53) - 1) // inner) + 1
+    while inner * (p - 1) ** 2 >= 1 << 53 or not fplin.is_prime(p):
+        p -= 1
+    above = next(q for q in range(p + 1, 2 * p) if fplin.is_prime(q))
+    for q in (p, above):
+        full = np.full((inner, inner), q - 1, dtype=np.int64)
+        # row r of `odd` starts with 2r + 1 entries q - 2, so each entry of
+        # odd @ full[:, :5] - 1 sums an odd number of odd products: at
+        # `above` an odd integer past 2^53, which float64 cannot hold
+        odd = np.full((3, inner), q - 1, dtype=np.int64)
+        for r in range(3):
+            odd[r, :2 * r + 1] = q - 2
+        for a, b in ((full[:3], full[:, :5]), (odd, full[:, :5] - 1)):
+            exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T]
+                     for row in a]
+            got = fplin.matmul(a, b, q)
+            assert got.dtype == np.int64 and got.tolist() == exact, q
+    in_float = odd.astype(np.float64) @ (full[:, :5] - 1).astype(np.float64)
+    assert not np.array_equal(in_float.astype(np.int64), odd @ (full[:, :5] - 1))
+    with pytest.raises(ModulusTooLargeError):
+        fplin.matmul(np.ones((1, 8), dtype=np.int64), np.ones((8, 1), dtype=np.int64),
+                     3037000493)
 
 
 small_matrices = st.integers(2, 3).flatmap(

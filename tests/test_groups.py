@@ -75,6 +75,7 @@ from .oracles import (
     commutators_with,
     double_coset_lattice,
     fixed_point_pprime_core,
+    loop_pprime_sections,
     naive_closure,
     naive_conjugacy_classes,
     naive_element_order,
@@ -554,6 +555,17 @@ def test_pprime_sections():
     assert len(pprime_sections(c5, 2)) == c5.conjugacy_classes.count
     sizes = sorted(len(s) for s in pprime_sections(dihedral_group(12), 2))
     assert sizes == [4, 8]
+
+
+def test_pprime_sections_match_the_per_element_loop():
+    extra = (dihedral_group(512), family("quaternion", 512), dihedral_group(96),
+             holomorph_cyclic(15), smallgroup_216_86())
+    cases = 0
+    for g in [g for _, g in builtin_catalog()] + list(extra):
+        for p in (2, 3, 5):
+            assert pprime_sections(g, p) == loop_pprime_sections(g, p), (g.name, p)
+            cases += 1
+    assert cases == 171
 
 
 # -- nilpotency / metabelian / central products --------------------------------
