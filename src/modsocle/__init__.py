@@ -7,7 +7,7 @@ by two independent routes when the latter two are two-sided ideals of F_pG.
 
 __version__ = "0.1.0"
 
-from .algebra import AlgebraElement, GroupAlgebra
+from .algebra import GroupAlgebra
 from .catalog import builtin_catalog, builtin_two_groups, load_catalog_dir
 from .constructors import (
     abelian,

@@ -9,10 +9,8 @@ F_pG does not depend on the field of characteristic p chosen.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
-from numbers import Integral
 from typing import Iterable, Optional
 
 import numpy as np
@@ -38,69 +36,6 @@ from .groups import (
     quotient,
     sylow_subgroup,
 )
-
-
-class AlgebraElement:
-    """Element of F_pG as a coefficient vector indexed by group elements."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "GroupAlgebra", coeffs):
-        self.algebra = algebra
-        c = np.array(coeffs, dtype=np.int64) % algebra.p
-        if c.shape != (algebra.group.order,):
-            raise DimensionMismatchError(
-                f"need {algebra.group.order} coefficients, got shape {c.shape}")
-        c.flags.writeable = False
-        self.coeffs = c
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.algebra is not other.algebra and (
-                self.algebra.group is not other.algebra.group or self.algebra.p != other.algebra.p):
-            raise DimensionMismatchError("elements live in different group algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar: int):
-        return AlgebraElement(self.algebra, self.coeffs * (int(scalar) % self.algebra.p))
-
-    def __mul__(self, other):
-        if isinstance(other, Integral):
-            return AlgebraElement(self.algebra, self.coeffs * (int(other) % self.algebra.p))
-        self._check(other)
-        alg = self.algebra
-        table = alg.group.table
-        out = np.zeros(alg.group.order, dtype=np.int64)
-        for g in np.nonzero(self.coeffs)[0]:
-            np.add.at(out, table[g], int(self.coeffs[g]) * other.coeffs)
-        return AlgebraElement(alg, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check(other)
-        return bool(np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash((id(self.algebra.group), self.algebra.p, self.coeffs.tobytes()))
-
-    def __repr__(self):
-        support = int(np.count_nonzero(self.coeffs))
-        return f"AlgebraElement(p={self.algebra.p}, support={support})"
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def is_central(self) -> bool:
-        cls = self.algebra.group.conjugacy_classes
-        reps = np.array(cls.representatives, dtype=np.int64)
-        return bool(np.array_equal(self.coeffs, self.coeffs[reps[cls.class_of]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +66,10 @@ class ClassSelection:
 class GroupAlgebra:
     """F_pG for a finite group G and a prime p.
 
+    An element of F_pG is a plain int64 coefficient vector indexed by the
+    group's elements; a central one is a vector in class coordinates, one
+    entry per conjugacy class (`expand_central` maps it to F_pG).
+
     The radical, socle and Reynolds ideal of the center and the socle and
     Reynolds verdicts are cached properties, so each is computed once per
     algebra. An algebra is not cached anywhere else: it lives as long as the
@@ -159,25 +98,6 @@ class GroupAlgebra:
     @property
     def center_dim(self) -> int:
         return self.classes.count
-
-    # -- elements ---------------------------------------------------------
-
-    def element(self, coeffs) -> AlgebraElement:
-        return AlgebraElement(self, coeffs)
-
-    def one(self) -> AlgebraElement:
-        return self.basis_element(self.group.identity)
-
-    def basis_element(self, g: int) -> AlgebraElement:
-        c = np.zeros(self.dim, dtype=np.int64)
-        c[g] = 1
-        return AlgebraElement(self, c)
-
-    def subset_sum(self, members: Iterable[int]) -> AlgebraElement:
-        c = np.zeros(self.dim, dtype=np.int64)
-        for m in members:
-            c[int(m)] += 1
-        return AlgebraElement(self, c)
 
     # -- class coordinates --------------------------------------------------
 
@@ -239,8 +159,9 @@ class GroupAlgebra:
         Column i is e_i^p for the class sum e_i, by square-and-multiply over
         the bits of p after the leading one, each step a `_central_product`
         of |supp| * k operations. So a column costs O(|G| k log p) at most.
-        The m matrix products of the power go through `fplin.matmul`, in
-        float64 where that is exact.
+        The power starts at F, so F^m takes m - 1 products through
+        `fplin.matmul`, in float64 where that is exact. m >= 1 once k >= 2;
+        for k = 1, m = 0 and F = [[1]] is already F^0.
         """
         k = self.center_dim
         p = self.p
@@ -257,8 +178,8 @@ class GroupAlgebra:
         while q < k:
             q *= p
             m += 1
-        power = np.eye(k, dtype=np.int64)
-        for _ in range(m):
+        power = frob
+        for _ in range(m - 1):
             power = fplin.matmul(power, frob, p)
         return power
 
@@ -489,16 +410,27 @@ class GroupAlgebra:
             projection=proj,
         )
 
-    def derived_annihilating_witness(self) -> AlgebraElement:
-        """Central element y with y . S+ = 0 for every nontrivial subgroup S
-        of the derived subgroup, and y outside (G')+ . F_pG.
+    def derived_annihilating_witness(self) -> np.ndarray:
+        """F_pG coefficients of a central element y with y . S+ = 0 for every
+        nontrivial subgroup S of the derived subgroup, and y outside
+        (G')+ . F_pG.
 
         Exists for p-groups of nilpotency class exactly two in odd
-        characteristic; built from a nontrivial homomorphism of the derived
-        subgroup onto the prime field. Every stated property is checked
-        before returning; annihilation on <x>+ for each x in G' of order p
-        only, which suffices: a nontrivial S <= G' holds such an x, S+ is
-        sum_t t . <x>+ over a transversal t of <x> in S, and y is central.
+        characteristic: y is f on G' and 0 elsewhere, for a homomorphism f of
+        G' onto the prime field. The class is two, so G' is central, hence
+        abelian, and y is central. f is read off one subgroup M of index p:
+        M grows from <d^p : d in G'> by each element v, in index order, for
+        which <M, v> is still proper. A v once rejected stays rejected, since
+        M only grows and <M_v, v> = G' lies in <M, v>. So the final M is
+        maximal in G', of index p because G' is a p-group, and with a the
+        least element outside M, f(d) = e for d in a^e M is a nontrivial
+        homomorphism onto F_p.
+
+        Every stated property is checked before returning; annihilation on
+        <x>+ for each x in G' of order p only, which suffices: a nontrivial
+        S <= G' holds such an x, S+ is sum_t t . <x>+ over a transversal t
+        of <x> in S, and y is central. (y . S+)(g) = sum_s y(g s^-1), so
+        each check sums y over a |G| x p block of the table.
         """
         g = self.group
         p = self.p
@@ -509,33 +441,23 @@ class GroupAlgebra:
         if nilpotency_class(g) != 2:
             raise HypothesisViolationError("nilpotency class must be exactly two")
         derived = derived_subgroup(g)
-        dgroup, dmembers = derived.as_group()
-        ppowers = {dgroup.power(x, p) for x in range(dgroup.order)}
-        agreement = generate_subgroup(dgroup, ppowers)
-        vgroup, vproj = quotient(dgroup, agreement)
-        basis: list[int] = []
-        span = {vgroup.identity}
-        for v in range(vgroup.order):
-            if v not in span:
-                basis.append(v)
-                span = generate_subgroup(vgroup, set(span) | {v}).members
-        coord_first: dict[int, int] = {}
-        for exps in itertools.product(range(p), repeat=len(basis)):
-            elem = vgroup.identity
-            for b, e in zip(basis, exps):
-                elem = vgroup.mul(elem, vgroup.power(b, e))
-            coord_first[elem] = exps[0] if exps else 0
-        coeffs = np.zeros(self.dim, dtype=np.int64)
-        for local, parent in enumerate(dmembers):
-            coeffs[parent] = coord_first[int(vproj[local])]
-        y = AlgebraElement(self, coeffs)
-        if not y.is_central():
+        m = generate_subgroup(g, {g.power(d, p) for d in derived.members})
+        for v in derived.sorted_members:
+            grown = generate_subgroup(g, m.members | {v})
+            if grown.order < derived.order:
+                m = grown
+        a = min(derived.members - m.members)
+        y = np.zeros(self.dim, dtype=np.int64)
+        for e in range(1, p):
+            y[g.table[g.power(a, e), list(m.members)]] = e
+        reps = np.array(self.classes.representatives)
+        if not np.array_equal(y, y[reps[self.classes.class_of]]):
             raise DualRouteDisagreementError("witness is not central")
-        if self.derived_sum_space.contains(y.coeffs):
+        if self.derived_sum_space.contains(y):
             raise DualRouteDisagreementError("witness lies in the derived coset-sum space")
-        for x in np.flatnonzero(dgroup.element_orders == p):
-            cyclic_sum = self.subset_sum(dmembers[dgroup.power(int(x), e)] for e in range(p))
-            if not (y * cyclic_sum).is_zero():
+        for x in np.flatnonzero(derived.mask & (g.element_orders == p)):
+            cyclic = [g.power(int(x), e) for e in range(p)]
+            if (y[g.table[:, g.inverse[cyclic]]].sum(axis=1) % p).any():
                 raise DualRouteDisagreementError(
                     "witness fails to annihilate the sum of a subgroup of order p")
         return y

@@ -509,6 +509,14 @@ def _p_part(n: int, p: int) -> int:
     return pk
 
 
+def _pprime_exponent(order: int, p: int) -> int:
+    """The e with x^e the p'-part of any x of this order: 1 mod the
+    p'-part of the order and 0 mod its p-part."""
+    pa = _p_part(order, p)
+    m = order // pa
+    return pa * pow(pa, -1, m) if m > 1 else 0
+
+
 def is_p_group(order: int, p: int) -> bool:
     """Is `order` a power of `p` (1 included), i.e. is a group of that order a p-group?"""
     return _p_part(order, p) == order
@@ -656,9 +664,8 @@ def p_decomposition(group: FiniteGroup, g: int, p: int) -> PDecomposition:
     pa = _p_part(o, p)
     m = o // pa
     e_p = m * pow(m, -1, pa) if pa > 1 else 0
-    e_pp = pa * pow(pa, -1, m) if m > 1 else 0
     gp = group.power(g, e_p) if pa > 1 else group.identity
-    gpp = group.power(g, e_pp) if m > 1 else group.identity
+    gpp = group.power(g, _pprime_exponent(o, p))
     return PDecomposition(element=g, p_part=gp, pprime_part=gpp)
 
 
@@ -672,11 +679,7 @@ def pprime_sections(group: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
     index arrays through the Cayley table.
     """
     orders, which = np.unique(group.element_orders, return_inverse=True)
-    exponents = []
-    for o in orders.tolist():
-        pa = _p_part(o, p)
-        m = o // pa
-        exponents.append(pa * pow(pa, -1, m) if m > 1 else 0)
+    exponents = [_pprime_exponent(o, p) for o in orders.tolist()]
     e = np.array(exponents, dtype=np.int64)[which]
     table = group.table
     base = np.arange(group.order)

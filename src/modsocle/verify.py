@@ -232,14 +232,14 @@ def _witness_claim(alg: GroupAlgebra) -> ClaimResult:
     selection = alg.class_selection(center(group))
     qalg = selection.quotient_algebra
     y = qalg.derived_annihilating_witness()
-    kills_all = all(
-        (y * qalg.element(qalg.expand_central(vec))).is_zero()
-        for vec in selection.image_elements.values())
-    escapes = not qalg.derived_sum_space.contains(y.coeffs)
+    y_central = y[list(qalg.classes.representatives)]
+    kills_all = not any(qalg._central_product(y_central, vec).any()
+                        for vec in selection.image_elements.values())
+    escapes = not qalg.derived_sum_space.contains(y)
     certified_nonideal = kills_all and escapes
     return _claim("witness_certifies_socle_not_ideal",
                   certified_nonideal, not alg.soc_is_ideal,
-                  witness={"support": int(np.count_nonzero(y.coeffs))})
+                  witness={"support": int(np.count_nonzero(y))})
 
 
 def verify_sufficient_conditions(group: FiniteGroup, p: int) -> VerdictReport:

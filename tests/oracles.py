@@ -31,6 +31,7 @@ from modsocle.groups import (
     _iter_isomorphisms,
     _normal_closure,
     _p_part,
+    all_subgroups,
     center,
     centralizer,
     commutator_subgroup,
@@ -209,8 +210,8 @@ def naive_center_annihilator(alg, vectors_fg) -> list[np.ndarray]:
     cls = group.conjugacy_classes
     out = []
     for v in all_vectors(p, cls.count):
-        elem = alg.element(np.array(v, dtype=np.int64)[cls.class_of])
-        if all((elem * alg.element(w)).is_zero() for w in vectors_fg):
+        elem = np.array(v, dtype=np.int64)[cls.class_of]
+        if not any(convolve(alg, elem, w).any() for w in vectors_fg):
             out.append(np.array(v, dtype=np.int64))
     return out
 
@@ -434,17 +435,52 @@ def closure_isoclinism(g1, g2):
 # Each is the direct construction of a space or subgroup that a test compares
 # with a statement of the paper; the CLI and the reports never need them.
 
+def convolve(alg, a, b) -> np.ndarray:
+    """Product of two F_pG coefficient vectors by a plain loop over the
+    Cayley table: out[g h] += a(g) b(h). Zero coefficients are skipped."""
+    table = alg.group.table.tolist()
+    a, b = np.asarray(a, dtype=np.int64) % alg.p, np.asarray(b, dtype=np.int64) % alg.p
+    out = [0] * alg.dim
+    for g in np.flatnonzero(a).tolist():
+        for h in np.flatnonzero(b).tolist():
+            out[table[g][h]] += int(a[g]) * int(b[h])
+    return np.array(out, dtype=np.int64) % alg.p
+
+
 def central_multiply(alg, u, v) -> np.ndarray:
     """Product of two central elements given in class coordinates, as F_pG
     coefficients: a convolution over the Cayley table, not a use of the class
     structure constants."""
-    x, y = (alg.element(alg.expand_central(w)) for w in (u, v))
-    return (x * y).coeffs
+    return convolve(alg, alg.expand_central(u), alg.expand_central(v))
 
 
-def identity_coefficient(elem) -> int:
+def identity_coefficient(alg, vec) -> int:
     """The symmetrizing linear form of F_pG: the coefficient of the identity."""
-    return int(elem.coeffs[elem.algebra.group.identity])
+    return int(vec[alg.group.identity]) % alg.p
+
+
+def witness_failures(alg, y) -> list[str]:
+    """The properties that the annihilating witness y (F_pG coefficients)
+    promises and does not have: central, nonzero, outside (G')+ . F_pG, and,
+    by the convolution oracle, y . S+ = 0 for every nontrivial S <= G'."""
+    cls = alg.classes
+    reps = np.array(cls.representatives)
+    der = derived_subgroup(alg.group)
+    dgroup, dmembers = der.as_group()
+    failures = []
+    if not np.array_equal(y, y[reps[cls.class_of]]):
+        failures.append("not central")
+    if not np.any(y % alg.p):
+        failures.append("zero")
+    if alg.subgroup_sum_ideal(der).contains(y):
+        failures.append("inside the derived coset-sum space")
+    for sub in all_subgroups(dgroup):
+        if sub.order > 1:
+            s_sum = np.zeros(alg.dim, dtype=np.int64)
+            s_sum[[dmembers[m] for m in sub.members]] = 1
+            if convolve(alg, y, s_sum).any():
+                failures.append(f"does not kill the sum of a subgroup of order {sub.order}")
+    return failures
 
 
 def center_space_fg(alg):
@@ -511,17 +547,17 @@ def push_to_quotient(alg, a, n_sub):
     """Sum coefficients over the cosets of a normal subgroup."""
     qalg, proj = alg.quotient_algebra(n_sub)
     out = np.zeros(qalg.dim, dtype=np.int64)
-    np.add.at(out, proj, a.coeffs)
-    return qalg.element(out)
+    np.add.at(out, proj, a)
+    return out % alg.p
 
 
 def inflate_from_quotient(alg, a, n_sub):
     """Adjoint of the projection: constant-on-coset inflation; its image is
     N+ . F_pG."""
     qalg, proj = alg.quotient_algebra(n_sub)
-    if a.algebra.group is not qalg.group:
+    if np.shape(a) != (qalg.dim,):
         raise DimensionMismatchError("element does not live in the quotient algebra")
-    return alg.element(a.coeffs[proj])
+    return np.asarray(a, dtype=np.int64)[proj] % alg.p
 
 
 def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
