@@ -159,9 +159,11 @@ class GroupAlgebra:
         Column i is e_i^p for the class sum e_i, by square-and-multiply over
         the bits of p after the leading one, each step a `_central_product`
         of |supp| * k operations. So a column costs O(|G| k log p) at most.
-        The power starts at F, so F^m takes m - 1 products through
-        `fplin.matmul`, in float64 where that is exact. m >= 1 once k >= 2;
-        for k = 1, m = 0 and F = [[1]] is already F^0.
+        F^m is taken by repeated squaring over the bits of m after the
+        leading one: at most 2 log2(m) products through `fplin.matmul` (3 at
+        D512 and p = 2, where m = 8), each exact, in float64 or else in int64
+        by k (p-1)^2 <= |G| (p-1)^2 < 2^63. m >= 1 once k >= 2; for k = 1,
+        m = 0 and the power is the identity.
         """
         k = self.center_dim
         p = self.p
@@ -178,9 +180,13 @@ class GroupAlgebra:
         while q < k:
             q *= p
             m += 1
+        if m == 0:
+            return np.eye(k, dtype=np.int64)
         power = frob
-        for _ in range(m - 1):
-            power = fplin.matmul(power, frob, p)
+        for bit in bin(m)[3:]:
+            power = fplin.matmul(power, power, p)
+            if bit == "1":
+                power = fplin.matmul(power, frob, p)
         return power
 
     @cached_property

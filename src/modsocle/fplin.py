@@ -83,6 +83,17 @@ def rref(m, p: int) -> tuple[Array, tuple[int, ...]]:
 
     Returns the nonzero rows of the RREF together with the pivot columns.
     The row space is preserved.
+
+    Entries are reduced mod p only where they are read: column c for the
+    pivot search and the multipliers, the pivot row's tail before it is
+    scaled (scaled unreduced, it could pass 2^63), and the whole result once
+    at the end. This is exact in int64. Entries start in [0, p), and each
+    step subtracts at most (p-1)^2 from an entry. There are at most `cols`
+    steps, so every entry lies in (-2^63, p) by the `check_modulus(p, cols)`
+    in `as_matrix`. Row r, like every row at or below it, holds only
+    multiples of p before column c, so the update skips those columns. The
+    RREF of a row space is unique, so the result is the one that reducing
+    after every pivot gives.
     """
     a = as_matrix(m, p)
     rows, cols = a.shape
@@ -91,19 +102,22 @@ def rref(m, p: int) -> tuple[Array, tuple[int, ...]]:
     for c in range(cols):
         if r == rows:
             break
-        stripe = np.nonzero(a[r:, c])[0]
+        col = a[:, c] % p
+        stripe = col[r:].nonzero()[0]
         if stripe.size == 0:
             continue
         piv = r + int(stripe[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
+            col[r], col[piv] = col[piv], col[r]
+        row = a[r, c:] % p * pow(int(col[r]), p - 2, p) % p
+        a[r, c:] = row
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        hit = col.nonzero()[0]
+        a[hit, c:] -= col[hit, None] * row
         pivots.append(c)
         r += 1
-    return a[:r], tuple(pivots)
+    return a[:r] % p, tuple(pivots)
 
 
 def rank(m, p: int) -> int:
@@ -151,11 +165,14 @@ class FpSubspace:
                 f"incompatible subspaces: F_{self.p}^{self.ambient} vs F_{other.p}^{other.ambient}")
 
     def reduce(self, rows) -> Array:
-        """Residual of `rows` after elimination against the basis."""
+        """Residual of `rows` after elimination against the basis.
+
+        The product is a `matmul` of residues, so the difference lies in
+        (-p, p) before its one reduction."""
         v = as_matrix(rows, self.p, cols=self.ambient)
         if self.dim == 0:
             return v
-        return (v - v[:, list(self.pivots)] @ self.basis) % self.p
+        return (v - matmul(v[:, list(self.pivots)], self.basis, self.p)) % self.p
 
     def contains(self, rows) -> bool:
         """True when the row, or every row of a matrix, lies in the subspace."""
@@ -192,7 +209,7 @@ def nullspace(m, p: int, cols: int | None = None) -> FpSubspace:
     a = as_matrix(m, p, cols=cols)
     n = a.shape[1]
     b, pivots = rref(a[:, ::-1], p)
-    free = [c for c in range(n) if c not in set(pivots)]
+    free = sorted(set(range(n)) - set(pivots))
     vecs = np.zeros((len(free), n), dtype=np.int64)
     vecs[np.arange(len(free)), free] = 1
     vecs[:, list(pivots)] = -b[:, free].T % p
@@ -204,7 +221,8 @@ def matmul(a: Array, b: Array, p: int) -> Array:
 
     When `a.shape[1] * (p-1)^2 < 2^53` every partial sum of the product is
     an integer below 2^53, which float64 holds exactly, so the product runs
-    in float64 through BLAS whatever order it sums in. Otherwise it runs in
+    in float64 through BLAS whatever order it sums in, and converts to
+    int64 exactly before its one `% p`. Otherwise it runs in
     int64 under `check_modulus`: numpy multiplies int64 without BLAS, but
     a prime that large does not divide any |G| in range, so its group
     algebra is semisimple; with p >= k the Frobenius power is one product,
@@ -212,7 +230,7 @@ def matmul(a: Array, b: Array, p: int) -> Array:
     """
     inner = a.shape[1]
     if inner * (p - 1) ** 2 < 1 << 53:
-        return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     check_modulus(p, inner)
     return a @ b % p
 

@@ -102,6 +102,31 @@ def exact_rank(rows, p: int) -> int:
     return rank
 
 
+def reduced_per_pivot_rref(m, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row-echelon form that reduces the whole matrix mod p after
+    every pivot, so every entry it holds is a residue."""
+    a = as_matrix(m, p)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        stripe = np.nonzero(a[r:, c])[0]
+        if stripe.size == 0:
+            continue
+        piv = r + int(stripe[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], tuple(pivots)
+
+
 def naive_conjugacy_classes(table) -> list[frozenset]:
     table = [list(r) for r in table]
     n = len(table)

@@ -267,8 +267,32 @@ def test_jacobson_center_matches_naive_frobenius_power():
     for _, g in builtin_catalog():
         for p in (2, 3, 5, 7, 11, 13):
             alg = GroupAlgebra(g, p)
-            naive = nullspace(naive_frobenius_power(alg), p, cols=alg.center_dim)
+            power = naive_frobenius_power(alg)
+            assert np.array_equal(alg._frobenius_power_matrix, power), (g.name, p)
+            naive = nullspace(power, p, cols=alg.center_dim)
             assert alg.jacobson_center == naive, (g.name, p)
+
+
+def test_frobenius_power_squares_its_way_to_m(monkeypatch):
+    # D512 has 131 classes, so m = 8 (2^8 >= 131 > 2^7): three squarings
+    calls = []
+    matmul = fplin.matmul
+
+    def counted(a, b, p):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, p)
+
+    alg = GroupAlgebra(dihedral_group(512), 2)
+    monkeypatch.setattr(fplin, "matmul", counted)
+    power = alg._frobenius_power_matrix
+    assert calls == [((131, 131), (131, 131))] * 3
+    monkeypatch.undo()
+    assert np.array_equal(power, naive_frobenius_power(alg))
+    # one class, so m = 0 and the power is the identity
+    for p in (2, 5):
+        trivial = GroupAlgebra(cyclic(1), p)
+        assert trivial._frobenius_power_matrix.tolist() == [[1]]
+        assert np.array_equal(trivial._frobenius_power_matrix, naive_frobenius_power(trivial))
 
 
 def test_group_algebra_enforces_the_int64_bound():

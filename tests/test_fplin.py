@@ -15,6 +15,7 @@ from .oracles import (
     brute_rank,
     enumerate_span,
     exact_rank,
+    reduced_per_pivot_rref,
     stacked_nullspace,
 )
 
@@ -76,6 +77,39 @@ def test_rref_normalizes_pivots():
     m, piv = rref([[2, 1, 0], [0, 0, 4]], 5)
     assert piv == (0, 2)
     assert m[0, 0] == 1 and m[1, 2] == 1
+
+
+def _largest_prime_for(cols):
+    """The largest prime p with (p-1)^2 * cols < 2^63, the top of `rref`'s range."""
+    p = math.isqrt(((1 << 63) - 1) // cols) + 1
+    while (p - 1) ** 2 * cols >= 1 << 63 or not fplin.is_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("rows, cols, inner", [
+    (8, 40, 5), (8, 40, 8),        # wide
+    (60, 6, 4), (60, 6, 6),        # tall
+    (30, 30, 17), (30, 30, 30),    # square
+    (300, 4, 3), (300, 4, 4),      # rows >> cols
+])
+def test_rref_matches_the_per_pivot_oracle(rows, cols, inner):
+    rng = np.random.default_rng(rows * cols + inner)
+    for p in (2, 3, 5, 7, 100003, _largest_prime_for(cols)):
+        # A @ B mod p has rank at most `inner`; Python integers keep it exact
+        a = rng.integers(0, p, size=(rows, inner)).astype(object)
+        b = rng.integers(0, p, size=(inner, cols)).astype(object)
+        top = np.full((rows, cols), p - 1, dtype=np.int64)
+        # p - 1 everywhere and p - 2 on the diagonal has full rank, and drives
+        # entries to about a third of cols * (p-1)^2 before the final reduction
+        near_top = top.copy()
+        np.fill_diagonal(near_top, p - 2)
+        for m in ((a @ b % p).astype(np.int64), top, near_top):
+            got, piv = rref(m, p)
+            want, want_piv = reduced_per_pivot_rref(m, p)
+            assert piv == want_piv, (p, m.tolist())
+            assert got.dtype == np.int64 and np.array_equal(got, want), p
+            assert len(piv) == exact_rank(m, p)
 
 
 def test_nullspace_trivial_cases():
@@ -201,9 +235,7 @@ def test_common_nullspace_eliminates_once_per_map_that_shrinks_the_kernel(monkey
 
 def test_common_nullspace_is_exact_at_the_int64_bound():
     n = 8
-    p = math.isqrt(((1 << 63) - 1) // n) + 1
-    while (p - 1) ** 2 * n >= 1 << 63 or not fplin.is_prime(p):
-        p -= 1
+    p = _largest_prime_for(n)
     rng = np.random.default_rng(5)
     # three rank-2 maps: the kernel shrinks 8 -> 6 -> 4 -> 2
     maps = [rng.integers(p - 1000, p, size=(2, n)) for _ in range(3)]
