@@ -25,6 +25,7 @@ from .fplin import FpSubspace
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _memoized,
     derived_subgroup,
     generate_subgroup,
     hall_complement,
@@ -72,8 +73,9 @@ class GroupAlgebra:
 
     The radical, socle and Reynolds ideal of the center and the socle and
     Reynolds verdicts are cached properties, so each is computed once per
-    algebra. An algebra is not cached anywhere else: it lives as long as the
-    call that made it.
+    algebra. `group_algebra` keeps one algebra per (group, p) on the group,
+    so it lives as long as its group. What it caches has k rows, besides the
+    |G| x k `_class_index`: both verdicts are answered in class coordinates.
 
     Products in F_pG and in the center sum at most |G| products of residues,
     so `p` must satisfy (p-1)^2 * |G| < 2^63 (`fplin.check_modulus`).
@@ -142,13 +144,12 @@ class GroupAlgebra:
         return out.reshape(k, d) % self.p
 
     def expand_central(self, vec) -> np.ndarray:
-        """Class coordinates -> F_pG coefficient vector."""
+        """Class coordinates -> F_pG coefficients, of a vector or of each row."""
         v = np.asarray(vec, dtype=np.int64) % self.p
-        return v[self.classes.class_of]
+        return v[..., self.classes.class_of]
 
     # -- radical, socle, Reynolds ideal ------------------------------------
 
-    @cached_property
     def _frobenius_power_matrix(self) -> np.ndarray:
         """Matrix of x -> x^(p^m) on the center, p^m >= its dimension.
 
@@ -192,8 +193,8 @@ class GroupAlgebra:
     @cached_property
     def jacobson_center(self) -> FpSubspace:
         """J(ZF_pG) in class coordinates, as the kernel of the iterated
-        p-th power map."""
-        return fplin.nullspace(self._frobenius_power_matrix, self.p, cols=self.center_dim)
+        p-th power map; that k x k matrix is not kept."""
+        return fplin.nullspace(self._frobenius_power_matrix(), self.p, cols=self.center_dim)
 
     @cached_property
     def ph_shape(self) -> Optional[PHShape]:
@@ -280,25 +281,10 @@ class GroupAlgebra:
         return FpSubspace.from_rref(rows, pivots, self.p, self.center_dim)
 
     @cached_property
-    def socle_fg(self) -> FpSubspace:
-        """soc(ZF_pG) in F_pG coordinates."""
-        return self.embed_central(self.socle_center)
-
-    @cached_property
-    def reynolds_space_fg(self) -> FpSubspace:
-        """The Reynolds ideal in F_pG coordinates."""
-        return self.embed_central(self.reynolds_center)
-
-    @cached_property
-    def derived_sum_space(self) -> FpSubspace:
-        """(G')+ . F_pG, the coset-sum space of the derived subgroup."""
-        return self.subgroup_sum_ideal(derived_subgroup(self.group))
-
-    @cached_property
     def reynolds_is_ideal(self) -> bool:
         """Is the Reynolds ideal an ideal of F_pG? Route 1 only: the
         criterion G' <= O_p(G) is the second route, checked in `verify`."""
-        return self.is_ideal(self.reynolds_space_fg)
+        return self.is_ideal(self.reynolds_center)
 
     # -- F_pG-coordinate subspaces ------------------------------------------
 
@@ -320,39 +306,46 @@ class GroupAlgebra:
             rows[r, coset_rep == rep] = 1
         return FpSubspace.from_rref(rows, [int(r) for r in reps], self.p, self.dim)
 
-    def _left_translate(self, rows: np.ndarray, g: int) -> np.ndarray:
-        perm = self.group.table[self.group.inv(g), :]
-        return rows[:, perm]
-
-    def _right_translate(self, rows: np.ndarray, g: int) -> np.ndarray:
-        perm = self.group.table[:, self.group.inv(g)]
-        return rows[:, perm]
-
     def is_ideal(self, space: FpSubspace) -> bool:
-        """Closure of the subspace under both translations by the generators.
+        """Is the central subspace `space`, in class coordinates, an ideal
+        of F_pG?
 
-        Generators suffice: translation by a group element is bijective, so
-        closure under each generator forces equality, hence closure under
-        all products and inverses.
+        For central z, z . g = g . z, so closure under left translation
+        suffices, and closure under the generators: translation by a group
+        element is bijective, so closure under each generator forces
+        equality, hence closure under all products and inverses. g . z lies
+        in `space` iff it is a class function whose values at the class
+        representatives, its class coordinates, lie in `space`.
         """
-        if space.ambient != self.dim:
-            raise DimensionMismatchError("ideal test needs F_pG coordinates")
-        if space.dim == 0:
-            return True
-        rows = space.basis
-        for g in self.group.generators:
-            if not space.contains(self._left_translate(rows, g)):
-                return False
-            if not space.contains(self._right_translate(rows, g)):
+        if space.ambient != self.center_dim:
+            raise DimensionMismatchError("ideal test needs class coordinates")
+        g, cls = self.group, self.classes
+        rows = self.expand_central(space.basis)
+        for s in g.generators:
+            # (s . z)(h) = z(s^-1 h)
+            moved = rows[:, g.table[g.inv(s), :]]
+            values = moved[:, cls.representatives]
+            if not np.array_equal(moved, values[:, cls.class_of]) or not space.contains(values):
                 return False
         return True
+
+    def in_derived_sum_ideal(self, coeffs) -> bool:
+        """Does the F_pG element `coeffs`, or every row of a matrix of them,
+        lie in (G')+ . F_pG?
+
+        That space is spanned by the indicators of the cosets of the normal
+        subgroup G', so an element lies in it iff it is constant on each
+        coset: iff it equals its value at each coset's least element.
+        """
+        c = np.asarray(coeffs, dtype=np.int64) % self.p
+        return bool(np.array_equal(c, c[..., derived_subgroup(self.group).coset_minima]))
 
     # -- quotient maps -------------------------------------------------------
 
     def quotient_algebra(self, n_sub: Subgroup) -> tuple["GroupAlgebra", np.ndarray]:
         """F_p(G/N) over the group's one memoized quotient, plus the projection."""
         q, proj = quotient(self.group, n_sub)
-        return GroupAlgebra(q, self.p), proj
+        return group_algebra(q, self.p), proj
 
     # -- the two-route verdicts ----------------------------------------------
 
@@ -363,8 +356,8 @@ class GroupAlgebra:
         Route 1 closes the socle under generator translations; route 2 tests
         containment in (G')+ . F_pG. The routes must agree.
         """
-        direct = self.is_ideal(self.socle_fg)
-        contained = self.socle_fg.is_subspace_of(self.derived_sum_space)
+        direct = self.is_ideal(self.socle_center)
+        contained = self.in_derived_sum_ideal(self.expand_central(self.socle_center.basis))
         if direct != contained:
             raise DualRouteDisagreementError(
                 f"socle ideal test disagrees on {self.group.name}: "
@@ -459,7 +452,7 @@ class GroupAlgebra:
         reps = np.array(self.classes.representatives)
         if not np.array_equal(y, y[reps[self.classes.class_of]]):
             raise DualRouteDisagreementError("witness is not central")
-        if self.derived_sum_space.contains(y):
+        if self.in_derived_sum_ideal(y):
             raise DualRouteDisagreementError("witness lies in the derived coset-sum space")
         for x in np.flatnonzero(derived.mask & (g.element_orders == p)):
             cyclic = [g.power(int(x), e) for e in range(p)]
@@ -467,3 +460,10 @@ class GroupAlgebra:
                 raise DualRouteDisagreementError(
                     "witness fails to annihilate the sum of a subgroup of order p")
         return y
+
+
+@_memoized
+def group_algebra(group: FiniteGroup, p: int) -> GroupAlgebra:
+    """The one F_pG of `group`, kept on the group, so that every fact about
+    (group, p) is computed once."""
+    return GroupAlgebra(group, p)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import GroupAlgebra
+from .algebra import group_algebra
 from .catalog import CatalogData, builtin_catalog, load_catalog_dir
 from .constructors import (
     abelian,
@@ -182,7 +182,7 @@ def _semidirect_from_file(path: Path) -> FiniteGroup:
 
 
 def analysis_document(group: FiniteGroup, p: int) -> dict:
-    alg = GroupAlgebra(group, p)
+    alg = group_algebra(group, p)
     der = derived_subgroup(group)
     core = p_core(group, p)
     nclass = nilpotency_class_or_none(group)
@@ -204,8 +204,8 @@ def analysis_document(group: FiniteGroup, p: int) -> dict:
             "center": alg.center_dim,
             "jacobson_center": alg.jacobson_center.dim,
             "socle_center": alg.socle_center.dim,
-            "reynolds": alg.reynolds_space_fg.dim,
-            "derived_coset_space": alg.derived_sum_space.dim,
+            "reynolds": alg.reynolds_center.dim,
+            "derived_coset_space": group.order // der.order,
         },
         "verdicts": {
             "socle_ideal": alg.soc_is_ideal,

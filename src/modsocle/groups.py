@@ -159,9 +159,8 @@ class FiniteGroup:
         return self.subgroup(range(self.order))
 
     def hash_digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.table.astype(np.int64).tobytes())
-        return h.hexdigest()
+        """sha256 of the table's bytes; `make_group` stores it C-contiguous int64."""
+        return hashlib.sha256(self.table).hexdigest()
 
 
 class Subgroup:

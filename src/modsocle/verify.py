@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import GroupAlgebra
+from .algebra import GroupAlgebra, group_algebra
 from .errors import CensusMismatchError, HypothesisViolationError, NotNilpotentError
 from .groups import (
     FiniteGroup,
@@ -148,7 +148,7 @@ def _subgroup_verdict(alg: GroupAlgebra, sub: Subgroup) -> bool:
         return alg.soc_is_ideal
     if sub.order == 1:
         return True
-    return GroupAlgebra(sub.as_group()[0], alg.p).soc_is_ideal
+    return group_algebra(sub.as_group()[0], alg.p).soc_is_ideal
 
 
 def y_criterion(group: FiniteGroup) -> bool:
@@ -166,12 +166,12 @@ def verify_reynolds_criterion(group: FiniteGroup, p: int) -> VerdictReport:
     p-core and G must split over a normal Sylow p-subgroup with abelian
     complement.
     """
-    return _report(group, p, _reynolds_claims(GroupAlgebra(group, p)))
+    return _report(group, p, _reynolds_claims(group_algebra(group, p)))
 
 
 def _reynolds_claims(alg: GroupAlgebra) -> list[ClaimResult]:
     group, p = alg.group, alg.p
-    reynolds = alg.reynolds_space_fg
+    reynolds = alg.reynolds_center
     direct = alg.reynolds_is_ideal
     core = p_core(group, p)
     criterion = derived_subgroup(group).members <= core.members
@@ -181,7 +181,7 @@ def _reynolds_claims(alg: GroupAlgebra) -> list[ClaimResult]:
     if direct and criterion:
         core_space = alg.subgroup_sum_ideal(core)
         claims.append(_claim(
-            "reynolds_equals_p_core_coset_space", reynolds == core_space, True,
+            "reynolds_equals_p_core_coset_space", alg.embed_central(reynolds) == core_space, True,
             dimensions={"coset_space": core_space.dim}))
         claims.append(_claim(
             "splits_over_normal_sylow_with_abelian_complement",
@@ -203,7 +203,7 @@ def verify_pgroup_classification(group: FiniteGroup, p: int) -> VerdictReport:
     """
     if not is_p_group(group.order, p):
         raise HypothesisViolationError(f"{group.name} is not a {p}-group")
-    return _report(group, p, _pgroup_claims(GroupAlgebra(group, p)))
+    return _report(group, p, _pgroup_claims(group_algebra(group, p)))
 
 
 def _pgroup_claims(alg: GroupAlgebra) -> list[ClaimResult]:
@@ -235,7 +235,7 @@ def _witness_claim(alg: GroupAlgebra) -> ClaimResult:
     y_central = y[list(qalg.classes.representatives)]
     kills_all = not any(qalg._central_product(y_central, vec).any()
                         for vec in selection.image_elements.values())
-    escapes = not qalg.derived_sum_space.contains(y)
+    escapes = not qalg.in_derived_sum_ideal(y)
     certified_nonideal = kills_all and escapes
     return _claim("witness_certifies_socle_not_ideal",
                   certified_nonideal, not alg.soc_is_ideal,
@@ -264,7 +264,7 @@ def verify_sufficient_conditions(group: FiniteGroup, p: int) -> VerdictReport:
         claims = [_not_applicable("sufficient_condition_implies_socle_ideal",
                                   "neither hypothesis holds")]
         return _report(group, p, claims)
-    alg = GroupAlgebra(group, p)
+    alg = group_algebra(group, p)
     claims = [_claim(
         "sufficient_condition_implies_socle_ideal", alg.soc_is_ideal, True,
         dimensions={"socle": alg.socle_center.dim},
@@ -278,7 +278,7 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     of Z(P)G', its dimension is |G : G'Z(G)|, and the property passes to both
     factors and to P.
     """
-    alg = GroupAlgebra(group, p)
+    alg = group_algebra(group, p)
     if not alg.soc_is_ideal:
         return _report(group, p, [_not_applicable(
             "central_product_decomposition", "socle is not an ideal")])
@@ -295,7 +295,7 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
     target = alg.subgroup_sum_ideal(zp_derived)
     claims.append(_claim(
         "socle_equals_central_derived_coset_space",
-        alg.socle_fg == target, True,
+        alg.embed_central(alg.socle_center) == target, True,
         dimensions={"socle": alg.socle_center.dim, "coset_space": target.dim}))
     claims.append(_claim(
         "socle_dimension_is_index_of_central_derived_subgroup",
@@ -327,12 +327,12 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
     central product it holds iff it holds in both factors; and it holds iff
     the Reynolds ideal is an ideal and the property holds mod the p'-core.
     """
-    alg = GroupAlgebra(group, p)
+    alg = group_algebra(group, p)
     base = alg.soc_is_ideal
     claims = []
     if n_sub is not None:
         q, _ = quotient(group, n_sub)
-        q_verdict = GroupAlgebra(q, p).soc_is_ideal
+        q_verdict = group_algebra(q, p).soc_is_ideal
         claims.append(_claim(
             "socle_ideal_passes_to_quotient", (not base) or q_verdict, True,
             dimensions={"quotient_order": q.order},
@@ -342,7 +342,7 @@ def verify_quotient_and_product_closure(group: FiniteGroup, p: int,
         bar_verdict = base
     else:
         bar, _ = quotient(group, core)
-        bar_verdict = GroupAlgebra(bar, p).soc_is_ideal
+        bar_verdict = group_algebra(bar, p).soc_is_ideal
     claims.append(_claim(
         "socle_ideal_iff_reynolds_ideal_and_mod_pprime_core",
         base, alg.reynolds_is_ideal and bar_verdict,
@@ -369,13 +369,13 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
     verdicts = []
     claims = []
     for g in (g1, g2):
-        alg = GroupAlgebra(g, p)
+        alg = group_algebra(g, p)
         verdicts.append(alg.soc_is_ideal)
         if is_p_group(g.order, p):
             selection = alg.class_selection(center(g))
             qalg = selection.quotient_algebra
             ann = qalg.annihilator(selection.image_elements.values())
-            contained = qalg.embed_central(ann).is_subspace_of(qalg.derived_sum_space)
+            contained = qalg.in_derived_sum_ideal(qalg.expand_central(ann.basis))
             claims.append(_claim(
                 f"annihilator_criterion_matches_verdict_{g.name}",
                 alg.soc_is_ideal, contained,
@@ -398,7 +398,7 @@ def census_record(name: str, group: FiniteGroup, p: int) -> dict:
     :func:`verify_reynolds_criterion` and, for a p-group,
     :func:`verify_pgroup_classification`.
     """
-    alg = GroupAlgebra(group, p)
+    alg = group_algebra(group, p)
     reynolds_claims = _reynolds_claims(alg)
     p_group = is_p_group(group.order, p)
     return {

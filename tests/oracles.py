@@ -497,7 +497,7 @@ def witness_failures(alg, y) -> list[str]:
         failures.append("not central")
     if not np.any(y % alg.p):
         failures.append("zero")
-    if alg.subgroup_sum_ideal(der).contains(y):
+    if derived_sum_space(alg).contains(y):
         failures.append("inside the derived coset-sum space")
     for sub in all_subgroups(dgroup):
         if sub.order > 1:
@@ -506,6 +506,33 @@ def witness_failures(alg, y) -> list[str]:
             if convolve(alg, y, s_sum).any():
                 failures.append(f"does not kill the sum of a subgroup of order {sub.order}")
     return failures
+
+
+def translation_closed(alg, space) -> bool:
+    """The ideal test in F_pG coordinates: is `space` closed under left and
+    right translation by each generator?"""
+    if space.ambient != alg.dim:
+        raise DimensionMismatchError("ideal test needs F_pG coordinates")
+    g = alg.group
+    for s in g.generators:
+        left = space.basis[:, g.table[g.inv(s), :]]
+        right = space.basis[:, g.table[:, g.inv(s)]]
+        if not (space.contains(left) and space.contains(right)):
+            return False
+    return True
+
+
+def derived_sum_space(alg):
+    """(G')+ . F_pG, spanned by the indicator rows of the cosets of G'."""
+    return alg.subgroup_sum_ideal(derived_subgroup(alg.group))
+
+
+def fg_verdicts(alg) -> dict:
+    """Both socle routes and the Reynolds route 1, in F_pG coordinates."""
+    socle = alg.embed_central(alg.socle_center)
+    return {"socle_closed": translation_closed(alg, socle),
+            "socle_in_derived_sum": socle.is_subspace_of(derived_sum_space(alg)),
+            "reynolds_closed": translation_closed(alg, alg.embed_central(alg.reynolds_center))}
 
 
 def center_space_fg(alg):
@@ -614,8 +641,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
             f"quotient annihilator routes disagree for {alg.group.name}")
     contained = None
     if alg.soc_is_ideal:
-        target = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
-        contained = qalg.embed_central(route1).is_subspace_of(target)
+        contained = qalg.embed_central(route1).is_subspace_of(derived_sum_space(qalg))
         if not contained:
             raise DualRouteDisagreementError(
                 f"quotient annihilator of {alg.group.name} escapes the "

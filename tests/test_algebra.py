@@ -10,6 +10,7 @@ import pytest
 from modsocle import fplin
 from modsocle.algebra import GroupAlgebra
 from modsocle.catalog import builtin_catalog, builtin_two_groups, symmetric4, wreath_3_3
+from modsocle.cli import group_from_spec
 from modsocle.constructors import (
     abelian,
     cyclic,
@@ -22,6 +23,8 @@ from modsocle.constructors import (
     smallgroup_216_86,
 )
 from modsocle.errors import (
+    DimensionMismatchError,
+    DualRouteDisagreementError,
     HypothesisViolationError,
     ModulusTooLargeError,
     NotNormalError,
@@ -45,6 +48,8 @@ from .oracles import (
     central_multiply,
     commutator_space,
     convolve,
+    derived_sum_space,
+    fg_verdicts,
     identity_coefficient,
     inflate_from_quotient,
     left_ideal_closure,
@@ -56,6 +61,7 @@ from .oracles import (
     quotient_annihilator,
     relative_augmentation_ideal,
     stacked_nullspace,
+    translation_closed,
     witness_failures,
 )
 
@@ -268,7 +274,7 @@ def test_jacobson_center_matches_naive_frobenius_power():
         for p in (2, 3, 5, 7, 11, 13):
             alg = GroupAlgebra(g, p)
             power = naive_frobenius_power(alg)
-            assert np.array_equal(alg._frobenius_power_matrix, power), (g.name, p)
+            assert np.array_equal(alg._frobenius_power_matrix(), power), (g.name, p)
             naive = nullspace(power, p, cols=alg.center_dim)
             assert alg.jacobson_center == naive, (g.name, p)
 
@@ -284,15 +290,15 @@ def test_frobenius_power_squares_its_way_to_m(monkeypatch):
 
     alg = GroupAlgebra(dihedral_group(512), 2)
     monkeypatch.setattr(fplin, "matmul", counted)
-    power = alg._frobenius_power_matrix
+    power = alg._frobenius_power_matrix()
     assert calls == [((131, 131), (131, 131))] * 3
     monkeypatch.undo()
     assert np.array_equal(power, naive_frobenius_power(alg))
     # one class, so m = 0 and the power is the identity
     for p in (2, 5):
         trivial = GroupAlgebra(cyclic(1), p)
-        assert trivial._frobenius_power_matrix.tolist() == [[1]]
-        assert np.array_equal(trivial._frobenius_power_matrix, naive_frobenius_power(trivial))
+        assert trivial._frobenius_power_matrix().tolist() == [[1]]
+        assert np.array_equal(trivial._frobenius_power_matrix(), naive_frobenius_power(trivial))
 
 
 def test_group_algebra_enforces_the_int64_bound():
@@ -497,12 +503,22 @@ def test_bases_built_in_rref_equal_the_span_of_their_rows(p):
 # -- ideal tests ------------------------------------------------------------------
 
 def test_is_ideal_basic_cases():
+    # class coordinates; each coset of D8' = Z(D8) is a union of classes
     g = dihedral_group(8)
     alg = GroupAlgebra(g, 2)
-    assert alg.is_ideal(FpSubspace.span(np.eye(8, dtype=np.int64), 2, 8))
-    one_span = FpSubspace.span(np.eye(8, dtype=np.int64)[:1], 2, 8)
-    assert not alg.is_ideal(one_span)
-    assert alg.is_ideal(alg.subgroup_sum_ideal(derived_subgroup(g)))
+    k = alg.center_dim
+    assert alg.is_ideal(FpSubspace.span(np.zeros((0, k), dtype=np.int64), 2, k))
+    assert alg.is_ideal(FpSubspace.span(np.ones((1, k), dtype=np.int64), 2, k))
+    # the center and the identity's span hold 1, which generates all of F_pG
+    assert not alg.is_ideal(FpSubspace.span(np.eye(k, dtype=np.int64), 2, k))
+    assert not alg.is_ideal(FpSubspace.span(np.eye(k, dtype=np.int64)[:1], 2, k))
+    cosets = derived_sum_space(alg)
+    reps = list(alg.classes.representatives)
+    central = FpSubspace.span(cosets.basis[:, reps], 2, k)
+    assert alg.embed_central(central) == cosets
+    assert alg.is_ideal(central) and translation_closed(alg, cosets)
+    with pytest.raises(DimensionMismatchError):
+        alg.is_ideal(cosets)
 
 
 def test_derived_coset_space_is_ideal_catalog_sample():
@@ -510,16 +526,59 @@ def test_derived_coset_space_is_ideal_catalog_sample():
         if g.order > 32:
             continue
         alg = GroupAlgebra(g, 2)
-        assert alg.is_ideal(alg.subgroup_sum_ideal(derived_subgroup(g)))
+        space = derived_sum_space(alg)
+        assert translation_closed(alg, space)
+        assert alg.in_derived_sum_ideal(space.basis)
+        assert alg.in_derived_sum_ideal(np.ones(alg.dim, dtype=np.int64))
+        if derived_subgroup(g).order > 1:
+            assert not alg.in_derived_sum_ideal(np.eye(alg.dim, dtype=np.int64)[g.identity])
 
 
 def test_soc_is_ideal_cases():
     assert GroupAlgebra(abelian([4, 2]), 2).soc_is_ideal
     hol = GroupAlgebra(holomorph_cyclic(8), 2)
     assert not hol.soc_is_ideal
-    assert hol.socle_center.dim == 10 and hol.derived_sum_space.dim == 8
+    assert hol.socle_center.dim == 10 and derived_sum_space(hol).dim == 8
     for order in (8, 16, 32, 64):
         assert GroupAlgebra(dihedral_group(order), 2).soc_is_ideal
+
+
+ORACLE_ROWS = (("dihedral:512", 2), ("quaternion:512", 2), ("holomorph:15", 2),
+               ("dihedral:96", 3), ("smallgroup:216-86", 3), ("cyclic:1000", 5),
+               ("abelian:2x2x2x2x2x2x2x2x3", 3))
+
+
+def assert_verdicts_match_the_fg_oracles(alg):
+    want = fg_verdicts(alg)
+    assert want["socle_closed"] == want["socle_in_derived_sum"] == alg.soc_is_ideal
+    assert want["reynolds_closed"] == alg.reynolds_is_ideal
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_class_coordinate_routes_match_the_fg_oracles_on_the_catalog(p):
+    rng = np.random.default_rng(p)
+    for _, g in builtin_catalog():
+        alg = GroupAlgebra(g, p)
+        assert_verdicts_match_the_fg_oracles(alg)
+        cosets = derived_sum_space(alg)
+        inside = rng.integers(0, p, size=(3, cosets.dim)) @ cosets.basis
+        loose = rng.integers(0, p, size=(3, alg.dim))
+        for y in (*inside, *loose):
+            assert alg.in_derived_sum_ideal(y) == cosets.contains(y), g.name
+
+
+@pytest.mark.parametrize("spec, p", ORACLE_ROWS)
+def test_class_coordinate_routes_match_the_fg_oracles_at_scale(spec, p):
+    assert_verdicts_match_the_fg_oracles(GroupAlgebra(group_from_spec(spec), p))
+
+
+def test_a_route_disagreement_is_a_hard_failure(monkeypatch):
+    alg = GroupAlgebra(dihedral_group(8), 2)
+    route2 = GroupAlgebra.in_derived_sum_ideal
+    monkeypatch.setattr(GroupAlgebra, "in_derived_sum_ideal",
+                        lambda self, coeffs: not route2(self, coeffs))
+    with pytest.raises(DualRouteDisagreementError):
+        alg.soc_is_ideal
 
 
 def test_radical_socle_and_verdict_are_computed_once_per_algebra(monkeypatch):
@@ -544,10 +603,8 @@ def test_radical_socle_and_verdict_are_computed_once_per_algebra(monkeypatch):
     alg = GroupAlgebra(dihedral_group(16), 2)
     assert alg.soc_is_ideal is True
     assert alg.soc_is_ideal is True
-    assert closures == [alg.socle_fg]
+    assert closures == [alg.socle_center]
     assert alg.socle_center is alg.socle_center
-    assert alg.socle_fg is alg.socle_fg
-    assert alg.derived_sum_space is alg.derived_sum_space
     assert alg.jacobson_center is alg.jacobson_center
     assert runs == [alg]
 
@@ -662,7 +719,7 @@ def test_pgroup_socle_ideal_iff_central_derived_space():
                 continue
             alg = GroupAlgebra(g, p)
             zg_der = generate_subgroup(g, center(g).members | derived_subgroup(g).members)
-            equality = alg.socle_fg == alg.subgroup_sum_ideal(zg_der)
+            equality = alg.embed_central(alg.socle_center) == alg.subgroup_sum_ideal(zg_der)
             assert alg.soc_is_ideal == equality
 
 

@@ -5,10 +5,11 @@ import itertools
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from modsocle import verify
-from modsocle.algebra import GroupAlgebra
+from modsocle.algebra import GroupAlgebra, group_algebra
 from modsocle.catalog import (
     builtin_catalog,
     builtin_two_groups,
@@ -27,6 +28,7 @@ from modsocle.constructors import (
     smallgroup_216_86,
 )
 from modsocle.errors import CensusMismatchError, HypothesisViolationError
+from modsocle.fplin import FpSubspace
 from modsocle.groups import (
     Subgroup,
     all_subgroups,
@@ -48,6 +50,8 @@ from modsocle.verify import (
     verify_reynolds_criterion,
     verify_sufficient_conditions,
 )
+
+from .oracles import translation_closed
 
 
 def claim_map(report):
@@ -225,7 +229,7 @@ def test_whole_and_trivial_factors_reuse_known_verdicts(monkeypatch):
     g = dihedral_group(16)
     assert verify_central_decomposition(g, 2).all_agree
     assert verify_quotient_and_product_closure(g, 2).all_agree
-    assert made == [16, 16]
+    assert made == [16]
 
 
 # -- quotient and central product closure ----------------------------------------------
@@ -361,7 +365,7 @@ def test_socle_ideal_implies_reynolds_ideal_over_catalog():
                 continue
             alg = GroupAlgebra(g, p)
             if alg.soc_is_ideal:
-                assert alg.is_ideal(alg.reynolds_space_fg), (name, p)
+                assert translation_closed(alg, alg.embed_central(alg.reynolds_center)), (name, p)
 
 
 def test_census_two_group_counts_match_classification():
@@ -397,22 +401,6 @@ def test_census_record_builds_one_algebra_for_its_group(monkeypatch):
         assert sum(group is g for group, _ in made) == 1, name
 
 
-def test_each_algebra_builds_its_derived_coset_sum_space_once(monkeypatch):
-    # the socle verdict, the witness and its escape check share one space
-    calls = []
-    build = GroupAlgebra.subgroup_sum_ideal
-
-    def counted(self, sub):
-        if sub == derived_subgroup(self.group):
-            calls.append(self)
-        return build(self, sub)
-
-    monkeypatch.setattr(GroupAlgebra, "subgroup_sum_ideal", counted)
-    verify_pgroup_classification(wreath_3_3(), 3)
-    algebras = {id(alg): alg for alg in calls}.values()
-    assert [sum(a is alg for a in calls) for alg in algebras] == [1, 1]
-
-
 def test_census_record_computes_the_lower_central_series_once(monkeypatch):
     # the row's class and its p-group claims share one memoized nilpotency class
     from modsocle import groups
@@ -430,12 +418,34 @@ def test_census_record_computes_the_lower_central_series_once(monkeypatch):
     assert runs == [g]
 
 
-def test_no_algebra_outlives_the_call_that_made_it(monkeypatch):
-    # A report holding an algebra of order 512 alive while the next one runs
-    # would add its caches to the peak memory.
+def test_one_algebra_per_group_and_prime_lives_as_long_as_its_group(monkeypatch):
+    # Suites A to D, the census row and the analysis of one (group, p) share
+    # one algebra. It is kept on the group, so what it keeps has k rows and
+    # columns, except the |G| x k class index.
     made = _record_algebras(monkeypatch)
-    census_record("W33", wreath_3_3(), 3)
-    analysis_document(dihedral_group(16), 2)
+    g = wreath_3_3()
+    for suite in (verify_reynolds_criterion, verify_pgroup_classification,
+                  verify_sufficient_conditions, verify_central_decomposition):
+        assert suite(g, 3).all_agree
+    census_record("W33", g, 3)
+    analysis_document(g, 3)
+    refs = [ref for group, ref in made if group is g]
+    assert len(refs) == 1 and refs[0]() is group_algebra(g, 3)
+    alg, k = refs[0](), refs[0]().center_dim
+    assert alg.soc_is_ideal is False and alg.socle_center.dim > 0
+    for name, value in vars(alg).items():
+        if isinstance(value, FpSubspace):
+            assert value.ambient == k, name
+            value = value.basis
+        arrays = list(value.values()) if isinstance(value, dict) else [value]
+        for arr in arrays:
+            if isinstance(arr, np.ndarray) and name != "_class_index":
+                assert max(arr.shape) <= k, name
+    assert alg._class_index.shape == (g.order, k)
+    made.clear()
+    del alg
     gc.collect()
-    assert len(made) > 2
-    assert all(ref() is None for _, ref in made)
+    assert refs[0]() is not None
+    del g
+    gc.collect()
+    assert refs[0]() is None
