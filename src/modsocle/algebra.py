@@ -1,10 +1,12 @@
 """The modular group algebra F_pG, its center, and the ideals studied here.
 
 The center ZF_pG is handled in class coordinates (one coordinate per
-conjugacy class, basis the class sums); full F_pG coordinates are used only
-where two-sidedness matters. Dimensions are always reported over the prime
-field: whether the socle of the center or the Reynolds ideal is an ideal of
-F_pG does not depend on the field of characteristic p chosen.
+conjugacy class, basis the class sums), and every subspace is kept there.
+An element of F_pG is a coefficient vector; membership in a coset-sum ideal
+S+ . F_pG is read off it as constancy on the right cosets of S, so no
+subspace of F_pG itself is built. Dimensions are always reported over the
+prime field: whether the socle of the center or the Reynolds ideal is an
+ideal of F_pG does not depend on the field of characteristic p chosen.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class GroupAlgebra:
 
     An element of F_pG is a plain int64 coefficient vector indexed by the
     group's elements; a central one is a vector in class coordinates, one
-    entry per conjugacy class (`expand_central` maps it to F_pG).
+    entry per conjugacy class (`expand_central` maps it to F_pG). A coset-sum
+    ideal S+ . F_pG is never spanned: membership in it is constancy on the
+    right cosets of S (`in_coset_sum_ideal`).
 
     The radical, socle and Reynolds ideal of the center and the socle and
     Reynolds verdicts are cached properties, so each is computed once per
@@ -286,26 +290,6 @@ class GroupAlgebra:
         criterion G' <= O_p(G) is the second route, checked in `verify`."""
         return self.is_ideal(self.reynolds_center)
 
-    # -- F_pG-coordinate subspaces ------------------------------------------
-
-    def embed_central(self, space: FpSubspace) -> FpSubspace:
-        if space.ambient != self.center_dim:
-            raise DimensionMismatchError("not a class-coordinate subspace")
-        # Classes are ordered by least member, so an RREF row expands to an
-        # RREF row that leads at the representative of its pivot class.
-        reps = self.classes.representatives
-        return FpSubspace.from_rref(space.basis[:, self.classes.class_of],
-                                    [reps[c] for c in space.pivots], self.p, self.dim)
-
-    def subgroup_sum_ideal(self, sub: Subgroup) -> FpSubspace:
-        """S+ . F_pG: the span of the right-coset indicator vectors of S."""
-        coset_rep = sub.coset_minima
-        reps = np.unique(coset_rep)
-        rows = np.zeros((reps.size, self.dim), dtype=np.int64)
-        for r, rep in enumerate(reps):
-            rows[r, coset_rep == rep] = 1
-        return FpSubspace.from_rref(rows, [int(r) for r in reps], self.p, self.dim)
-
     def is_ideal(self, space: FpSubspace) -> bool:
         """Is the central subspace `space`, in class coordinates, an ideal
         of F_pG?
@@ -329,16 +313,29 @@ class GroupAlgebra:
                 return False
         return True
 
-    def in_derived_sum_ideal(self, coeffs) -> bool:
+    def in_coset_sum_ideal(self, coeffs, sub: Subgroup) -> bool:
         """Does the F_pG element `coeffs`, or every row of a matrix of them,
-        lie in (G')+ . F_pG?
+        lie in S+ . F_pG for the subgroup `sub` = S?
 
-        That space is spanned by the indicators of the cosets of the normal
-        subgroup G', so an element lies in it iff it is constant on each
-        coset: iff it equals its value at each coset's least element.
+        S+ . g is the indicator of the right coset Sg, so S+ . F_pG is
+        spanned by those indicators, whether S is normal or not. An element
+        lies in it iff it is constant on each right coset: iff it equals its
+        value at each coset's least element (`Subgroup.coset_minima`).
         """
         c = np.asarray(coeffs, dtype=np.int64) % self.p
-        return bool(np.array_equal(c, c[..., derived_subgroup(self.group).coset_minima]))
+        return bool(np.array_equal(c, c[..., sub.coset_minima]))
+
+    def equals_coset_sum_ideal(self, space: FpSubspace, sub: Subgroup) -> bool:
+        """Is the central subspace `space`, in class coordinates, S+ . F_pG
+        for the subgroup `sub` = S?
+
+        S+ . F_pG has dimension |G : S|, one indicator per right coset.
+        `expand_central` is injective, so the expanded basis spans a space of
+        dimension `space.dim`; when that is |G : S| and the basis lies in
+        S+ . F_pG, the two spaces are equal.
+        """
+        return (space.dim == self.group.order // sub.order
+                and self.in_coset_sum_ideal(self.expand_central(space.basis), sub))
 
     # -- quotient maps -------------------------------------------------------
 
@@ -357,7 +354,8 @@ class GroupAlgebra:
         containment in (G')+ . F_pG. The routes must agree.
         """
         direct = self.is_ideal(self.socle_center)
-        contained = self.in_derived_sum_ideal(self.expand_central(self.socle_center.basis))
+        contained = self.in_coset_sum_ideal(self.expand_central(self.socle_center.basis),
+                                            derived_subgroup(self.group))
         if direct != contained:
             raise DualRouteDisagreementError(
                 f"socle ideal test disagrees on {self.group.name}: "
@@ -452,7 +450,7 @@ class GroupAlgebra:
         reps = np.array(self.classes.representatives)
         if not np.array_equal(y, y[reps[self.classes.class_of]]):
             raise DualRouteDisagreementError("witness is not central")
-        if self.in_derived_sum_ideal(y):
+        if self.in_coset_sum_ideal(y, derived):
             raise DualRouteDisagreementError("witness lies in the derived coset-sum space")
         for x in np.flatnonzero(derived.mask & (g.element_orders == p)):
             cyclic = [g.power(int(x), e) for e in range(p)]

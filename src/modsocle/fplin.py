@@ -159,11 +159,6 @@ class FpSubspace:
             raise ValueError("pivot columns must form an identity block")
         return cls(p=p, ambient=ambient, basis=_frozen(b), pivots=piv)
 
-    def _check_compatible(self, other: "FpSubspace") -> None:
-        if self.p != other.p or self.ambient != other.ambient:
-            raise DimensionMismatchError(
-                f"incompatible subspaces: F_{self.p}^{self.ambient} vs F_{other.p}^{other.ambient}")
-
     def reduce(self, rows) -> Array:
         """Residual of `rows` after elimination against the basis.
 
@@ -177,10 +172,6 @@ class FpSubspace:
     def contains(self, rows) -> bool:
         """True when the row, or every row of a matrix, lies in the subspace."""
         return not self.reduce(rows).any()
-
-    def is_subspace_of(self, other: "FpSubspace") -> bool:
-        self._check_compatible(other)
-        return other.contains(self.basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):

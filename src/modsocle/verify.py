@@ -136,10 +136,6 @@ def nilpotency_class_or_none(group: FiniteGroup) -> Optional[int]:
         return None
 
 
-def _subgroup_product(group: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
-    return generate_subgroup(group, a.members | b.members)
-
-
 def _subgroup_verdict(alg: GroupAlgebra, sub: Subgroup) -> bool:
     """Whether the socle of the center is an ideal for `sub` as a group: the
     parent's verdict when `sub` is the whole group, true when it is trivial
@@ -153,9 +149,8 @@ def _subgroup_verdict(alg: GroupAlgebra, sub: Subgroup) -> bool:
 
 def y_criterion(group: FiniteGroup) -> bool:
     """G' contained in the product of the length-two-class subgroup and the center."""
-    y = two_element_class_subgroup(group)
-    z = center(group)
-    yz = _subgroup_product(group, y, z)
+    yz = generate_subgroup(group, two_element_class_subgroup(group).members
+                           | center(group).members)
     return derived_subgroup(group).members <= yz.members
 
 
@@ -179,10 +174,9 @@ def _reynolds_claims(alg: GroupAlgebra) -> list[ClaimResult]:
         "reynolds_ideal_iff_derived_in_p_core", direct, criterion,
         dimensions={"reynolds": reynolds.dim, "p_core_order": core.order})]
     if direct and criterion:
-        core_space = alg.subgroup_sum_ideal(core)
         claims.append(_claim(
-            "reynolds_equals_p_core_coset_space", alg.embed_central(reynolds) == core_space, True,
-            dimensions={"coset_space": core_space.dim}))
+            "reynolds_equals_p_core_coset_space", alg.equals_coset_sum_ideal(reynolds, core),
+            True, dimensions={"coset_space": group.order // core.order}))
         claims.append(_claim(
             "splits_over_normal_sylow_with_abelian_complement",
             alg.ph_shape is not None, True))
@@ -235,7 +229,7 @@ def _witness_claim(alg: GroupAlgebra) -> ClaimResult:
     y_central = y[list(qalg.classes.representatives)]
     kills_all = not any(qalg._central_product(y_central, vec).any()
                         for vec in selection.image_elements.values())
-    escapes = not qalg.in_derived_sum_ideal(y)
+    escapes = not qalg.in_coset_sum_ideal(y, derived_subgroup(qalg.group))
     certified_nonideal = kills_all and escapes
     return _claim("witness_certifies_socle_not_ideal",
                   certified_nonideal, not alg.soc_is_ideal,
@@ -291,19 +285,19 @@ def verify_central_decomposition(group: FiniteGroup, p: int) -> VerdictReport:
         is_central_product(group, cph, residual), True,
         dimensions={"centralizer_order": cph.order, "residual_order": residual.order})]
     z_sylow = centralizer(group, sylow.sorted_members, within=sylow)
-    zp_derived = _subgroup_product(group, z_sylow, derived_subgroup(group))
-    target = alg.subgroup_sum_ideal(zp_derived)
+    zp_derived = generate_subgroup(group, z_sylow.members | derived_subgroup(group).members)
+    index = group.order // zp_derived.order
     claims.append(_claim(
         "socle_equals_central_derived_coset_space",
-        alg.embed_central(alg.socle_center) == target, True,
-        dimensions={"socle": alg.socle_center.dim, "coset_space": target.dim}))
+        alg.equals_coset_sum_ideal(alg.socle_center, zp_derived), True,
+        dimensions={"socle": alg.socle_center.dim, "coset_space": index}))
     claims.append(_claim(
         "socle_dimension_is_index_of_central_derived_subgroup",
-        alg.socle_center.dim, group.order // zp_derived.order))
+        alg.socle_center.dim, index))
     # |G : G'Z(G)| only equals that index once the p'-core is trivial (the
     # p'-core is central but not a p-group, so it never enters Z(P)G').
     if pprime_core(group, p).order == 1:
-        der_z = _subgroup_product(group, derived_subgroup(group), center(group))
+        der_z = generate_subgroup(group, derived_subgroup(group).members | center(group).members)
         claims.append(_claim(
             "socle_dimension_is_index_of_derived_times_center",
             alg.socle_center.dim, group.order // der_z.order))
@@ -375,7 +369,8 @@ def verify_isoclinism_pair(g1: FiniteGroup, g2: FiniteGroup, p: int) -> VerdictR
             selection = alg.class_selection(center(g))
             qalg = selection.quotient_algebra
             ann = qalg.annihilator(selection.image_elements.values())
-            contained = qalg.in_derived_sum_ideal(qalg.expand_central(ann.basis))
+            contained = qalg.in_coset_sum_ideal(qalg.expand_central(ann.basis),
+                                                derived_subgroup(qalg.group))
             claims.append(_claim(
                 f"annihilator_criterion_matches_verdict_{g.name}",
                 alg.soc_is_ideal, contained,

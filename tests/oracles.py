@@ -522,23 +522,48 @@ def translation_closed(alg, space) -> bool:
     return True
 
 
+def embed_central(alg, space):
+    """A class-coordinate subspace of the center as a subspace of F_pG."""
+    if space.ambient != alg.center_dim:
+        raise DimensionMismatchError("not a class-coordinate subspace")
+    # Classes are ordered by least member, so an RREF row expands to an
+    # RREF row that leads at the representative of its pivot class.
+    reps = alg.classes.representatives
+    return FpSubspace.from_rref(space.basis[:, alg.classes.class_of],
+                                [reps[c] for c in space.pivots], alg.p, alg.dim)
+
+
+def subgroup_sum_ideal(alg, sub):
+    """S+ . F_pG: the span of the right-coset indicator vectors of S.
+
+    Entry g of `coset_rep` is the least element of Sg, read from the table
+    here rather than from `Subgroup.coset_minima`, which it checks."""
+    arr = np.array(sub.sorted_members, dtype=np.int64)
+    coset_rep = alg.group.table[arr, :].min(axis=0)
+    reps = np.unique(coset_rep)
+    rows = np.zeros((reps.size, alg.dim), dtype=np.int64)
+    for r, rep in enumerate(reps):
+        rows[r, coset_rep == rep] = 1
+    return FpSubspace.from_rref(rows, [int(r) for r in reps], alg.p, alg.dim)
+
+
 def derived_sum_space(alg):
     """(G')+ . F_pG, spanned by the indicator rows of the cosets of G'."""
-    return alg.subgroup_sum_ideal(derived_subgroup(alg.group))
+    return subgroup_sum_ideal(alg, derived_subgroup(alg.group))
 
 
 def fg_verdicts(alg) -> dict:
     """Both socle routes and the Reynolds route 1, in F_pG coordinates."""
-    socle = alg.embed_central(alg.socle_center)
+    socle = embed_central(alg, alg.socle_center)
     return {"socle_closed": translation_closed(alg, socle),
-            "socle_in_derived_sum": socle.is_subspace_of(derived_sum_space(alg)),
-            "reynolds_closed": translation_closed(alg, alg.embed_central(alg.reynolds_center))}
+            "socle_in_derived_sum": derived_sum_space(alg).contains(socle.basis),
+            "reynolds_closed": translation_closed(alg, embed_central(alg, alg.reynolds_center))}
 
 
 def center_space_fg(alg):
     """ZF_pG in F_pG coordinates."""
     k = alg.center_dim
-    return alg.embed_central(FpSubspace.span(np.eye(k, dtype=np.int64), alg.p, k))
+    return embed_central(alg, FpSubspace.span(np.eye(k, dtype=np.int64), alg.p, k))
 
 
 def meet(a, b):
@@ -641,7 +666,7 @@ def quotient_annihilator(alg, n_sub) -> SimpleNamespace:
             f"quotient annihilator routes disagree for {alg.group.name}")
     contained = None
     if alg.soc_is_ideal:
-        contained = qalg.embed_central(route1).is_subspace_of(derived_sum_space(qalg))
+        contained = derived_sum_space(qalg).contains(embed_central(qalg, route1).basis)
         if not contained:
             raise DualRouteDisagreementError(
                 f"quotient annihilator of {alg.group.name} escapes the "

@@ -9,7 +9,14 @@ import pytest
 
 from modsocle import fplin
 from modsocle.algebra import GroupAlgebra
-from modsocle.catalog import builtin_catalog, builtin_two_groups, symmetric4, wreath_3_3
+from modsocle.catalog import (
+    alternating4,
+    builtin_catalog,
+    builtin_two_groups,
+    dicyclic12,
+    symmetric4,
+    wreath_3_3,
+)
 from modsocle.cli import group_from_spec
 from modsocle.constructors import (
     abelian,
@@ -31,6 +38,7 @@ from modsocle.errors import (
 )
 from modsocle.fplin import FpSubspace, nullspace
 from modsocle.groups import (
+    all_subgroups,
     center,
     centralizer,
     derived_subgroup,
@@ -49,6 +57,7 @@ from .oracles import (
     commutator_space,
     convolve,
     derived_sum_space,
+    embed_central,
     fg_verdicts,
     identity_coefficient,
     inflate_from_quotient,
@@ -61,6 +70,7 @@ from .oracles import (
     quotient_annihilator,
     relative_augmentation_ideal,
     stacked_nullspace,
+    subgroup_sum_ideal,
     translation_closed,
     witness_failures,
 )
@@ -238,7 +248,7 @@ def test_inflate_image_is_coset_sum_space():
     qalg, _ = alg.quotient_algebra(n)
     rows = [inflate_from_quotient(alg, e, n) for e in np.eye(qalg.dim, dtype=np.int64)]
     image = FpSubspace.span(np.array(rows), 2, alg.dim)
-    assert image == alg.subgroup_sum_ideal(n)
+    assert image == subgroup_sum_ideal(alg, n)
 
 
 def test_inflation_detects_derived_coset_membership():
@@ -248,8 +258,8 @@ def test_inflation_detects_derived_coset_membership():
     alg = GroupAlgebra(g, 2)
     n = center(g)
     qalg, _ = alg.quotient_algebra(n)
-    up_target = alg.subgroup_sum_ideal(derived_subgroup(g))
-    down_target = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
+    up_target = subgroup_sum_ideal(alg, derived_subgroup(g))
+    down_target = subgroup_sum_ideal(qalg, derived_subgroup(qalg.group))
     rng = np.random.default_rng(11)
     seen = {True: 0, False: 0}
     for _ in range(40):
@@ -476,7 +486,7 @@ def test_reynolds_inside_socle_and_annihilates_radical():
                 continue
             alg = GroupAlgebra(g, p)
             rey = alg.reynolds_center
-            assert rey.is_subspace_of(alg.socle_center)
+            assert alg.socle_center.contains(rey.basis)
             for r in rey.basis:
                 for b in alg.jacobson_center.basis:
                     assert not central_multiply(alg, r, b).any()
@@ -484,7 +494,7 @@ def test_reynolds_inside_socle_and_annihilates_radical():
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_bases_built_in_rref_equal_the_span_of_their_rows(p):
-    # reynolds_center and embed_central write their RREF bases down directly
+    # reynolds_center and the embed_central oracle write their RREF bases down directly
     for name, g in builtin_catalog():
         alg = GroupAlgebra(g, p)
         k, class_of = alg.center_dim, alg.classes.class_of
@@ -497,7 +507,7 @@ def test_bases_built_in_rref_equal_the_span_of_their_rows(p):
                       FpSubspace.span(np.zeros((0, k), dtype=np.int64), p, k)):
             expanded = np.array([alg.expand_central(v) for v in space.basis],
                                 dtype=np.int64).reshape(-1, alg.dim)
-            assert alg.embed_central(space) == FpSubspace.span(expanded, p, alg.dim), (name, p)
+            assert embed_central(alg, space) == FpSubspace.span(expanded, p, alg.dim), (name, p)
 
 
 # -- ideal tests ------------------------------------------------------------------
@@ -515,7 +525,7 @@ def test_is_ideal_basic_cases():
     cosets = derived_sum_space(alg)
     reps = list(alg.classes.representatives)
     central = FpSubspace.span(cosets.basis[:, reps], 2, k)
-    assert alg.embed_central(central) == cosets
+    assert embed_central(alg, central) == cosets
     assert alg.is_ideal(central) and translation_closed(alg, cosets)
     with pytest.raises(DimensionMismatchError):
         alg.is_ideal(cosets)
@@ -528,10 +538,11 @@ def test_derived_coset_space_is_ideal_catalog_sample():
         alg = GroupAlgebra(g, 2)
         space = derived_sum_space(alg)
         assert translation_closed(alg, space)
-        assert alg.in_derived_sum_ideal(space.basis)
-        assert alg.in_derived_sum_ideal(np.ones(alg.dim, dtype=np.int64))
-        if derived_subgroup(g).order > 1:
-            assert not alg.in_derived_sum_ideal(np.eye(alg.dim, dtype=np.int64)[g.identity])
+        der = derived_subgroup(g)
+        assert alg.in_coset_sum_ideal(space.basis, der)
+        assert alg.in_coset_sum_ideal(np.ones(alg.dim, dtype=np.int64), der)
+        if der.order > 1:
+            assert not alg.in_coset_sum_ideal(np.eye(alg.dim, dtype=np.int64)[g.identity], der)
 
 
 def test_soc_is_ideal_cases():
@@ -548,23 +559,43 @@ ORACLE_ROWS = (("dihedral:512", 2), ("quaternion:512", 2), ("holomorph:15", 2),
                ("abelian:2x2x2x2x2x2x2x2x3", 3))
 
 
-def assert_verdicts_match_the_fg_oracles(alg):
+def assert_verdicts_match_the_fg_oracles(alg) -> list[bool]:
+    """Both verdicts against the F_pG oracles, and `equals_coset_sum_ideal`
+    against the equality of F_pG subspaces, for the socle and the Reynolds
+    ideal and the subgroups the equality claims name. Returns the equality
+    verdicts."""
     want = fg_verdicts(alg)
     assert want["socle_closed"] == want["socle_in_derived_sum"] == alg.soc_is_ideal
     assert want["reynolds_closed"] == alg.reynolds_is_ideal
+    g, der = alg.group, derived_subgroup(alg.group)
+    subs = [der, p_core(g, alg.p), generate_subgroup(g, center(g).members | der.members)]
+    if alg.ph_shape is not None:
+        sylow = alg.ph_shape.sylow
+        z_sylow = centralizer(g, sylow.sorted_members, within=sylow)
+        subs.append(generate_subgroup(g, z_sylow.members | der.members))
+    verdicts = []
+    for space in (alg.socle_center, alg.reynolds_center):
+        fg = embed_central(alg, space)
+        for sub in subs:
+            got = alg.equals_coset_sum_ideal(space, sub)
+            assert got == (fg == subgroup_sum_ideal(alg, sub)), (g.name, alg.p, sub.order)
+            verdicts.append(got)
+    return verdicts
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_class_coordinate_routes_match_the_fg_oracles_on_the_catalog(p):
     rng = np.random.default_rng(p)
+    verdicts = []
     for _, g in builtin_catalog():
         alg = GroupAlgebra(g, p)
-        assert_verdicts_match_the_fg_oracles(alg)
+        verdicts += assert_verdicts_match_the_fg_oracles(alg)
         cosets = derived_sum_space(alg)
         inside = rng.integers(0, p, size=(3, cosets.dim)) @ cosets.basis
         loose = rng.integers(0, p, size=(3, alg.dim))
         for y in (*inside, *loose):
-            assert alg.in_derived_sum_ideal(y) == cosets.contains(y), g.name
+            assert alg.in_coset_sum_ideal(y, derived_subgroup(g)) == cosets.contains(y), g.name
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("spec, p", ORACLE_ROWS)
@@ -572,11 +603,37 @@ def test_class_coordinate_routes_match_the_fg_oracles_at_scale(spec, p):
     assert_verdicts_match_the_fg_oracles(GroupAlgebra(group_from_spec(spec), p))
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_coset_sum_membership_reads_right_cosets_for_every_subgroup(p):
+    # S+ . x lies in S+ . F_pG by definition, and x . S+ lies in F_pG . S+,
+    # constant on the left cosets gS; for a subgroup that is not normal the
+    # two ideals differ, so a labelling by left cosets fails both ways
+    rng = np.random.default_rng(31 + p)
+    groups = (symmetric4(), dihedral_group(8), alternating4(), holomorph_cyclic(8), dicyclic12())
+    non_normal = 0
+    for g in groups:
+        alg = GroupAlgebra(g, p)
+        for sub in all_subgroups(g):
+            oracle = subgroup_sum_ideal(alg, sub)
+            s_sum = sub.mask.astype(np.int64)
+            products = [convolve(alg, s_sum, x) for x in rng.integers(0, p, size=(2, g.order))]
+            combos = rng.integers(0, p, size=(2, oracle.dim)) @ oracle.basis
+            loose = [*rng.integers(0, p, size=(2, g.order)),
+                     *(convolve(alg, x, s_sum) for x in rng.integers(0, p, size=(2, g.order)))]
+            for y in (*products, *combos):
+                assert alg.in_coset_sum_ideal(y, sub), (g.name, sub.order)
+                assert oracle.contains(y)
+            for y in loose:
+                assert alg.in_coset_sum_ideal(y, sub) == oracle.contains(y), (g.name, sub.order)
+            non_normal += not sub.is_normal
+    assert non_normal == 78
+
+
 def test_a_route_disagreement_is_a_hard_failure(monkeypatch):
     alg = GroupAlgebra(dihedral_group(8), 2)
-    route2 = GroupAlgebra.in_derived_sum_ideal
-    monkeypatch.setattr(GroupAlgebra, "in_derived_sum_ideal",
-                        lambda self, coeffs: not route2(self, coeffs))
+    route2 = GroupAlgebra.in_coset_sum_ideal
+    monkeypatch.setattr(GroupAlgebra, "in_coset_sum_ideal",
+                        lambda self, coeffs, sub: not route2(self, coeffs, sub))
     with pytest.raises(DualRouteDisagreementError):
         alg.soc_is_ideal
 
@@ -719,7 +776,7 @@ def test_pgroup_socle_ideal_iff_central_derived_space():
                 continue
             alg = GroupAlgebra(g, p)
             zg_der = generate_subgroup(g, center(g).members | derived_subgroup(g).members)
-            equality = alg.embed_central(alg.socle_center) == alg.subgroup_sum_ideal(zg_der)
+            equality = embed_central(alg, alg.socle_center) == subgroup_sum_ideal(alg, zg_der)
             assert alg.soc_is_ideal == equality
 
 
@@ -730,8 +787,8 @@ def test_socle_inside_central_quotient_image():
         if g.order == 1:
             continue
         alg = GroupAlgebra(g, 2)
-        soc = alg.embed_central(alg.socle_center)
-        assert soc.is_subspace_of(alg.subgroup_sum_ideal(center(g)))
+        soc = embed_central(alg, alg.socle_center)
+        assert subgroup_sum_ideal(alg, center(g)).contains(soc.basis)
 
 
 def test_centralizer_product_condition_implies_socle_in_sylow_center_space():
@@ -750,8 +807,8 @@ def test_centralizer_product_condition_implies_socle_in_sylow_center_space():
             product = {g.mul(a, b) for a in cgh.members for b in zp.members}
             if len(product) != g.order:
                 continue
-            soc = alg.embed_central(alg.socle_center)
-            assert soc.is_subspace_of(alg.subgroup_sum_ideal(zp))
+            soc = embed_central(alg, alg.socle_center)
+            assert subgroup_sum_ideal(alg, zp).contains(soc.basis)
             checked += 1
     assert checked >= 5
 
@@ -763,8 +820,8 @@ def test_derived_coset_membership_transfers_through_inflation():
     n = derived_subgroup(g)
     qalg, _ = alg.quotient_algebra(n)
     rng = np.random.default_rng(23)
-    up = alg.subgroup_sum_ideal(n)
-    down = qalg.subgroup_sum_ideal(derived_subgroup(qalg.group))
+    up = subgroup_sum_ideal(alg, n)
+    down = subgroup_sum_ideal(qalg, derived_subgroup(qalg.group))
     for _ in range(10):
         x = rng.integers(0, 3, size=qalg.dim)
         assert down.contains(x) == up.contains(inflate_from_quotient(alg, x, n))

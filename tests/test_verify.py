@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from modsocle.catalog import (
     builtin_catalog,
     builtin_two_groups,
     central_product_d8_d8,
+    load_catalog_dir,
     symmetric4,
     wreath_3_3,
 )
@@ -36,6 +38,7 @@ from modsocle.groups import (
     derived_subgroup,
     generate_subgroup,
     is_central_product,
+    is_p_group,
     normal_subgroups,
     quotient,
     two_element_class_subgroup,
@@ -51,7 +54,7 @@ from modsocle.verify import (
     verify_sufficient_conditions,
 )
 
-from .oracles import translation_closed
+from .oracles import embed_central, translation_closed
 
 
 def claim_map(report):
@@ -365,7 +368,7 @@ def test_socle_ideal_implies_reynolds_ideal_over_catalog():
                 continue
             alg = GroupAlgebra(g, p)
             if alg.soc_is_ideal:
-                assert translation_closed(alg, alg.embed_central(alg.reynolds_center)), (name, p)
+                assert translation_closed(alg, embed_central(alg, alg.reynolds_center)), (name, p)
 
 
 def test_census_two_group_counts_match_classification():
@@ -449,3 +452,36 @@ def test_one_algebra_per_group_and_prime_lives_as_long_as_its_group(monkeypatch)
     del g
     gc.collect()
     assert refs[0]() is None
+
+
+HARD_GROUPS = Path(__file__).parent / "data" / "hard_groups"
+
+
+@pytest.fixture(scope="module")
+def hard_groups():
+    return load_catalog_dir(HARD_GROUPS).entries
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_every_suite_agrees_on_the_hard_groups(hard_groups, p):
+    """The non-soluble PSL(2,7), A6, PSL(2,11) and S6, and the soluble
+    Dih(C3^3), Dih(C3^4) and C2^4 x S3 with large elementary abelian
+    sections, read as permutations from a catalog directory. None is a
+    p-group, so suite B does not apply; the closure suite takes the quotient
+    by G' where that is proper and nontrivial."""
+    assert [g.order for _, g in hard_groups] == [54, 96, 162, 168, 360, 660, 720]
+    equalities = 0
+    for name, g in hard_groups:
+        assert not is_p_group(g.order, p)
+        der = derived_subgroup(g)
+        reports = [verify_reynolds_criterion(g, p), verify_sufficient_conditions(g, p),
+                   verify_central_decomposition(g, p),
+                   verify_quotient_and_product_closure(
+                       g, p, n_sub=der if 1 < der.order < g.order else None)]
+        for report in reports:
+            assert report.all_agree, (name, p, report.to_dict())
+            equalities += sum(c.applicable and c.claim_id in (
+                "reynolds_equals_p_core_coset_space",
+                "socle_equals_central_derived_coset_space") for c in report.claims)
+    # at p = 3 both equality claims apply to Dih(C3^3), Dih(C3^4) and C2^4 x S3
+    assert equalities == (6 if p == 3 else 0)
