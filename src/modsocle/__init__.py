@@ -41,7 +41,6 @@ from .groups import (
     nilpotency_class,
     normalizer,
     p_core,
-    p_decomposition,
     p_residual,
     pprime_core,
     pprime_sections,

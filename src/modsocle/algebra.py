@@ -28,12 +28,12 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _memoized,
+    _pprime_exponent,
     derived_subgroup,
     generate_subgroup,
     hall_complement,
     is_p_group,
     nilpotency_class,
-    p_decomposition,
     pprime_core,
     pprime_sections,
     quotient,
@@ -239,7 +239,8 @@ class GroupAlgebra:
             vec = np.zeros(cls.count, dtype=np.int64)
             vec[i] = 1
             if len(members) % self.p != 0:
-                gpp = p_decomposition(self.group, members[0], self.p).pprime_part
+                x = members[0]
+                gpp = self.group.power(x, _pprime_exponent(self.group.element_order(x), self.p))
                 j = int(cls.class_of[gpp])
                 if len(cls.classes[j]) != 1:
                     raise DualRouteDisagreementError(

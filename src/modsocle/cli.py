@@ -274,21 +274,22 @@ def _suite_reports(suite: str, entries, p: int):
     if suite in ("D", "all"):
         for _, g in entries:
             yield verify_central_decomposition(g, p)
+    # by name from the builtin catalog, not from `entries`, whose --catalog
+    # groups may reuse these names
+    builtin = dict(builtin_catalog())
     if suite in ("isoclinism", "all"):
         for order in (16, 32):
-            trio = [family("dihedral", order), family("semidihedral", order),
-                    family("quaternion", order)]
+            trio = [builtin[f"{kind}{order}"] for kind in ("D", "SD", "Q")]
             for i in range(len(trio)):
                 for j in range(i + 1, len(trio)):
                     yield verify_isoclinism_pair(trio[i], trio[j], p)
     if suite == "all":
-        d32 = dihedral_group(32)
-        g = d32
+        g = builtin["D32"]
         while g.order > 4:
             z = center(g)
             yield verify_quotient_and_product_closure(g, p, n_sub=z)
             g, _ = quotient(g, z)
-        d16 = dihedral_group(16)
+        d16 = builtin["D16"]
         for n_sub in normal_subgroups(d16):
             if 1 < n_sub.order < d16.order:
                 yield verify_quotient_and_product_closure(d16, p, n_sub=n_sub)

@@ -44,15 +44,6 @@ class ConjClassPartition:
         return tuple(len(c) for c in self.classes)
 
 
-@dataclass(frozen=True)
-class PDecomposition:
-    """Commuting factorization g = g_p * g_p' into p-part and p'-part."""
-
-    element: int
-    p_part: int
-    pprime_part: int
-
-
 @dataclass(frozen=True, eq=False)
 class IsoclinismWitness:
     """Witnessing pair of maps for an isoclinism of two groups; the first is
@@ -485,19 +476,25 @@ def frattini_subgroup(group: FiniteGroup) -> Subgroup:
     Phi(G) is the product of the Phi(P) = P'P^p. With r the product of the
     primes dividing |G|, g^r has P-component g_P^r = (g_P^(r/p))^p, and
     x -> x^(r/p) permutes P, so the r-th powers generate the product of the
-    P^p and Phi(G) = <G', g^r>. Any other group intersects the
-    maximal subgroups of the full lattice from :func:`all_subgroups`, about
-    0.03 s for Hol(C15), D96 or SmallGroup(216, 86).
+    P^p and Phi(G) = <G', g^r>.
+
+    Any other group walks the lattice from :func:`all_subgroups` once, from
+    the largest proper subgroup down, and keeps a subgroup as maximal unless
+    a subgroup kept before it contains it; Phi(G) is the intersection of the
+    kept ones. The walk is exact: a proper overgroup of s is larger than s,
+    so it comes earlier in the walk, and it lies in some maximal subgroup,
+    also larger than s, which was therefore kept before s was reached.
     """
     n = group.order
     if lower_central_series(group)[-1].order == 1:
         r = prod(f for f in range(2, n + 1) if n % f == 0 and is_prime(f))
         powers = {group.power(g, r) for g in range(n)}
         return generate_subgroup(group, derived_subgroup(group).members | powers)
-    members = set(range(n))
-    for m in maximal_subgroups(group):
-        members &= m.members
-    return group.subgroup(members)
+    maximal: list[frozenset[int]] = []
+    for s in reversed(all_subgroups(group)[:-1]):
+        if not any(s.members <= m for m in maximal):
+            maximal.append(s.members)
+    return group.subgroup(frozenset.intersection(*maximal))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -657,22 +654,11 @@ def quotient(group: FiniteGroup, n_sub: Subgroup) -> tuple[FiniteGroup, np.ndarr
     return q, proj
 
 
-def p_decomposition(group: FiniteGroup, g: int, p: int) -> PDecomposition:
-    """Split g into commuting p-part and p'-part (both powers of g)."""
-    o = group.element_order(g)
-    pa = _p_part(o, p)
-    m = o // pa
-    e_p = m * pow(m, -1, pa) if pa > 1 else 0
-    gp = group.power(g, e_p) if pa > 1 else group.identity
-    gpp = group.power(g, _pprime_exponent(o, p))
-    return PDecomposition(element=g, p_part=gp, pprime_part=gpp)
-
-
 def pprime_sections(group: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
     """Partition of G where x ~ y iff their p'-parts are conjugate, sorted
     by least member.
 
-    The p'-part of x is x^e for the exponent e that `p_decomposition` takes,
+    The p'-part of x is x^e for the exponent e of `_pprime_exponent`,
     which depends only on the order of x. So e is found once per distinct
     order, and every element is raised at once, by square-and-multiply on
     index arrays through the Cayley table.
@@ -937,15 +923,6 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     subs = [group.subgroup(m) for m in seen]
     subs.sort(key=lambda s: (s.order, s.sorted_members))
     return subs
-
-
-def maximal_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    subs = [s for s in all_subgroups(group) if s.order < group.order]
-    out = []
-    for s in subs:
-        if not any(s.members < t.members for t in subs):
-            out.append(s)
-    return out
 
 
 def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:

@@ -8,6 +8,7 @@ tuples, so they are only usable at tiny sizes; that is the point.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from modsocle.groups import (
     _iter_isomorphisms,
     _normal_closure,
     _p_part,
+    _pprime_exponent,
     all_subgroups,
     center,
     centralizer,
@@ -40,7 +42,6 @@ from modsocle.groups import (
     generate_subgroup,
     is_p_group,
     normalizer,
-    p_decomposition,
     quotient,
     sylow_subgroup,
 )
@@ -326,6 +327,17 @@ def double_coset_lattice(group) -> list[tuple[int, tuple[int, ...]]]:
     return sorted((len(m), tuple(sorted(m))) for m in seen)
 
 
+def maximal_subgroups(group):
+    """The maximal subgroups, by testing every pair of proper subgroups for
+    containment."""
+    subs = [s for s in all_subgroups(group) if s.order < group.order]
+    out = []
+    for s in subs:
+        if not any(s.members < t.members for t in subs):
+            out.append(s)
+    return out
+
+
 def backtracking_hall_complement(group, p: int):
     """Members of the first p'-complement to the normal Sylow p-subgroup
     found by a depth-first search over p'-elements in index order, keeping
@@ -407,6 +419,26 @@ def normalizer_ascent_sylow(group, p: int):
         )
         current = generate_subgroup(group, set(current.members) | {candidate})
     return current
+
+
+@dataclass(frozen=True)
+class PDecomposition:
+    """Commuting factorization g = g_p * g_p' into p-part and p'-part."""
+
+    element: int
+    p_part: int
+    pprime_part: int
+
+
+def p_decomposition(group, g: int, p: int) -> PDecomposition:
+    """Split g into commuting p-part and p'-part (both powers of g)."""
+    o = group.element_order(g)
+    pa = _p_part(o, p)
+    m = o // pa
+    e_p = m * pow(m, -1, pa) if pa > 1 else 0
+    gp = group.power(g, e_p) if pa > 1 else group.identity
+    gpp = group.power(g, _pprime_exponent(o, p))
+    return PDecomposition(element=g, p_part=gp, pprime_part=gpp)
 
 
 def loop_pprime_sections(group, p: int):

@@ -1,5 +1,6 @@
 """Command-line interface: specs, reports, exit codes, determinism."""
 
+import collections
 import hashlib
 import json
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modsocle import algebra
+from modsocle.catalog import builtin_catalog
 from modsocle.cli import (
     analysis_document,
     dumps_canonical,
@@ -209,6 +212,35 @@ def test_verify_suite_b(capsys):
     assert all(doc["all_agree"] for doc in lines)
     names = {doc["group"]["name"] for doc in lines}
     assert "C3wrC3" in names
+
+
+def test_verify_all_builds_one_algebra_per_builtin_group(capsys, monkeypatch):
+    """The isoclinism trios, D32 and D16 are the catalog's own groups, so no
+    builtin group gets a second algebra; the other algebras are of quotients
+    and subgroups."""
+    monkeypatch.delenv("MODSOCLE_CATALOG", raising=False)
+    made = []
+    init = algebra.GroupAlgebra.__init__
+
+    def counted(self, group, p):
+        made.append(group.name)
+        init(self, group, p)
+
+    monkeypatch.setattr(algebra.GroupAlgebra, "__init__", counted)
+    builtin_catalog.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--prime", "2")
+    assert code == 0
+    counts = collections.Counter(made)
+    assert {counts[name] for name, _ in builtin_catalog()} == {1}
+
+
+def test_verify_isoclinism_ignores_catalog_groups_with_builtin_names(tmp_path, capsys):
+    g = group_from_spec("cyclic:16")
+    (tmp_path / "D16.json").write_text(json.dumps({**group_to_document(g), "name": "D16"}))
+    argv = ("verify", "--suite", "isoclinism", "--prime", "2")
+    code, out, _ = run_cli(capsys, *argv, "--catalog", str(tmp_path))
+    assert code == 0
+    assert out == run_cli(capsys, *argv)[1]
 
 
 def test_verify_corrupted_catalog_exit_2(tmp_path, capsys):

@@ -5,12 +5,16 @@ and J(F_pG) = I(P) . F_pG, the kernel of F_pG -> F_pH. So dim J(Z) =
 |G| - |H|, soc(Z) and the Reynolds ideal both have dimension |H|, and both
 are ideals. For a p'-group, F_pG is semisimple: J(Z) = 0, soc(Z) = Z, and Z
 is an ideal of F_pG iff G is abelian; the abelian p'-groups are among the
-abelian cases. Each check reads `analyze`'s document.
+abelian cases. Phi(G) = 1 for the hard inputs in `tests/data/hard_groups`.
+Each check reads `analyze`'s document.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modsocle.catalog import load_catalog_dir
 from modsocle.cli import analysis_document, group_from_spec
 
 ABELIAN_SPECS = (
@@ -61,3 +65,16 @@ def test_semisimple_socle_is_the_center_and_not_an_ideal(spec, p):
     assert dims["socle_center"] == dims["reynolds"] == dims["center"] == classes
     assert doc["verdicts"]["socle_ideal"] is False
     assert doc["verdicts"]["reynolds_ideal"] is False
+
+
+def test_hard_inputs_have_trivial_frattini_subgroup():
+    """Phi(G) is a nilpotent normal subgroup, so it is 1 in the simple
+    PSL(2,7), A6 and PSL(2,11) and in S6, whose other normal subgroup is A6.
+    A minimal normal N inside Phi(G) has no complement H, since NH = G would
+    put H in no maximal subgroup. In Dih(C3^3), Dih(C3^4) and C2^4 x S3 the
+    minimal normal subgroups are the subgroups of order 3 of C3^n, or the C3
+    of S3 and the subgroups of order 2 of C2^4, and each has a complement."""
+    entries = load_catalog_dir(Path(__file__).parent / "data" / "hard_groups").entries
+    assert len(entries) == 7
+    for name, g in entries:
+        assert analysis_document(g, 3)["orders"]["frattini"] == 1, name

@@ -2,6 +2,7 @@
 
 import itertools
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from modsocle.catalog import (
     builtin_catalog,
     builtin_two_groups,
     dicyclic12,
+    load_catalog_dir,
     symmetric4,
     wreath_3_3,
 )
@@ -53,13 +55,12 @@ from modsocle.groups import (
     is_central_product,
     is_metabelian,
     is_p_group,
+    lower_central_series,
     make_group,
-    maximal_subgroups,
     nilpotency_class,
     normal_subgroups,
     normalizer,
     p_core,
-    p_decomposition,
     p_residual,
     pprime_core,
     pprime_sections,
@@ -76,12 +77,14 @@ from .oracles import (
     double_coset_lattice,
     fixed_point_pprime_core,
     loop_pprime_sections,
+    maximal_subgroups,
     naive_closure,
     naive_conjugacy_classes,
     naive_element_order,
     naive_lower_central_series,
     naive_pprime_part,
     normalizer_ascent_sylow,
+    p_decomposition,
     pairwise_commutator_subgroup,
     reduced_commutator_subgroup,
     row_loop_latin_check,
@@ -383,6 +386,34 @@ def test_frattini_of_a_nilpotent_group_reads_no_lattice(monkeypatch):
         assert frattini_subgroup(g).members == inter
     with pytest.raises(AssertionError):
         frattini_subgroup(symmetric4())
+
+
+def test_frattini_walk_matches_the_pairwise_maximal_intersection():
+    """The one-pass walk down the lattice against the pairwise containment
+    test, on every non-nilpotent builtin group and eleven more. Phi(D_2n) is
+    the rotations of order n / rad(n), Phi(Hol(C9)) is the subgroup of order
+    3 of C9, Phi(C4 x S3) is the square of C4, and Hol(C15), A5, S5 and the
+    hard inputs have Phi = 1 (simple, almost simple, or every minimal normal
+    subgroup elementary abelian and complemented)."""
+    hard = dict(load_catalog_dir(Path(__file__).parent / "data" / "hard_groups").entries)
+    cases = [(name, g) for name, g in builtin_catalog()
+             if lower_central_series(g)[-1].order > 1]
+    expected = {"D24": 2, "D36": 3, "D96": 8, "Hol(C9)": 3, "Hol(C15)": 1, "C4xS3": 2,
+                "A5": 1, "S5": 1, "Dih(C3^3)": 1, "PSL(2,7)": 1, "A6": 1, "PSL(2,11)": 1}
+    cases += [("D24", dihedral_group(24)), ("D36", dihedral_group(36)),
+              ("D96", dihedral_group(96)), ("Hol(C9)", holomorph_cyclic(9)),
+              ("Hol(C15)", holomorph_cyclic(15)),
+              ("C4xS3", direct_product(cyclic(4), dihedral_group(6))),
+              ("A5", from_permutations([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])),
+              ("S5", from_permutations([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]))]
+    cases += [(name, hard[name]) for name in ("Dih(C3^3)", "PSL(2,7)", "A6", "PSL(2,11)")]
+    for name, g in cases:
+        inter = set(range(g.order))
+        for m in maximal_subgroups(g):
+            inter &= m.members
+        fr = frattini_subgroup(g)
+        assert fr.members == inter, name
+        assert fr.order == expected.get(name, fr.order), name
 
 
 # -- relative subgroups -------------------------------------------------------
